@@ -204,7 +204,7 @@ impl<B: SatBackend + Default + Send> CyclicSatMap<B> {
             let options = p.options_for(crate::solver::instance_features(&enc));
             let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
             telemetry.absorb(&out.telemetry);
-            proof.observe(&out);
+            proof.observe(&out, budget.expired());
             return match out.status {
                 MaxSatStatus::Optimal | MaxSatStatus::Feasible => {
                     let model = out.model.expect("status implies model");
@@ -301,7 +301,7 @@ impl<B: SatBackend + Default + Send> CyclicSatMap<B> {
             let options = p.options_for(crate::solver::instance_features(&enc));
             let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
             telemetry.absorb(&out.telemetry);
-            proof.observe(&out);
+            proof.observe(&out, budget.expired());
             match out.status {
                 MaxSatStatus::Optimal | MaxSatStatus::Feasible => {
                     let model = out.model.expect("status implies model");
@@ -449,6 +449,94 @@ mod tests {
         assert!(outcome.solved());
         assert_eq!(outcome.quality(), circuit::RouteQuality::Degraded);
         assert_eq!(outcome.diagnostic("degraded_reason"), Some("quantized"));
+    }
+
+    /// The cancel token [`CutAfterFirstModel`] fires.
+    static CUT: std::sync::Mutex<Option<sat::CancelToken>> = std::sync::Mutex::new(None);
+
+    /// The default backend, except that its first SAT answer fires the
+    /// token in [`CUT`]: a budget carrying that token expires right after
+    /// the search finds its first incumbent, whatever the host's speed.
+    #[derive(Default)]
+    struct CutAfterFirstModel(DefaultBackend);
+
+    impl sat::ClauseSink for CutAfterFirstModel {
+        fn new_var(&mut self) -> sat::Var {
+            self.0.new_var()
+        }
+        fn emit(&mut self, lits: &[sat::Lit]) {
+            self.0.emit(lits);
+        }
+    }
+
+    impl SatBackend for CutAfterFirstModel {
+        fn backend_name(&self) -> &'static str {
+            "cut-after-first-model"
+        }
+        fn configure(&mut self, config: &sat::SolverConfig) {
+            self.0.configure(config);
+        }
+        fn num_vars(&self) -> usize {
+            self.0.num_vars()
+        }
+        fn num_clauses(&self) -> usize {
+            self.0.num_clauses()
+        }
+        fn reserve_vars(&mut self, n: usize) {
+            self.0.reserve_vars(n);
+        }
+        fn add_clause(&mut self, lits: &[sat::Lit]) -> bool {
+            SatBackend::add_clause(&mut self.0, lits)
+        }
+        fn solve_under_assumptions(
+            &mut self,
+            assumptions: &[sat::Lit],
+            budget: &ResourceBudget,
+        ) -> sat::SolveResult {
+            let result = self.0.solve_under_assumptions(assumptions, budget);
+            if result == sat::SolveResult::Sat {
+                if let Some(token) = CUT.lock().expect("unpoisoned").as_ref() {
+                    token.cancel();
+                }
+            }
+            result
+        }
+        fn model_value(&self, l: sat::Lit) -> Option<bool> {
+            self.0.model_value(l)
+        }
+        fn model(&self) -> Vec<bool> {
+            self.0.model()
+        }
+        fn unsat_core(&self) -> &[sat::Lit] {
+            self.0.unsat_core()
+        }
+        fn stats(&self) -> &sat::Stats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn budget_cut_quantized_route_says_budget_exhausted() {
+        // A fidelity nl-satmap request whose weights quantize coarsely:
+        // run to completion it is degraded only by quantization, but a
+        // budget that expires at the first incumbent cuts the search, and
+        // the row must blame the budget, not the quantum.
+        let g = arch::devices::grid(2, 2);
+        let c = circuit::generators::random_local(4, 6, 3, 0.5, 4);
+        let request = RouteRequest::new(&c, &g).with_objective(circuit::Objective::Fidelity(
+            arch::NoiseModel::synthetic(&g, 2022),
+        ));
+        let router = SatMap::<CutAfterFirstModel>::with_backend(SatMapConfig::monolithic());
+        let complete = router.route_request(&request);
+        assert_eq!(complete.quality(), circuit::RouteQuality::Degraded);
+        assert_eq!(complete.diagnostic("degraded_reason"), Some("quantized"));
+
+        let (budget, token) = ResourceBudget::unlimited().cancellable();
+        *CUT.lock().expect("unpoisoned") = Some(token);
+        let cut = router.route_request(&request.clone().with_budget(budget));
+        assert!(cut.solved(), "the first incumbent survives the cut");
+        assert_eq!(cut.quality(), circuit::RouteQuality::Degraded);
+        assert_eq!(cut.diagnostic("degraded_reason"), Some("budget-exhausted"));
     }
 
     #[test]

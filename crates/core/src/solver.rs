@@ -203,10 +203,11 @@ fn decode_monolithic(
 /// Proof status of a routing attempt's accepted models, threaded through
 /// every solver call of the attempt. Starts proven; the first
 /// [`MaxSatStatus::Feasible`] answer downgrades it and records *why* the
-/// proof was lost, so a `degraded` row is diagnosable: weight
+/// proof was lost, so a `degraded` row is diagnosable: an expiring
+/// budget returns whatever incumbent the anytime search held
+/// (`"budget-exhausted"`, whatever the weight quantum), while weight
 /// quantization caps the claim at Feasible even when the search ran to
-/// completion (`"quantized"`), while an expiring budget returns whatever
-/// incumbent the anytime search held (`"budget-exhausted"`).
+/// completion (`"quantized"`).
 pub(crate) struct Proof {
     proved: bool,
     reason: Option<&'static str>,
@@ -221,15 +222,18 @@ impl Proof {
     }
 
     /// Downgrades the proof when `out` accepted an unproven incumbent,
-    /// keeping the first downgrade's reason.
-    pub(crate) fn observe(&mut self, out: &maxsat::MaxSatOutcome) {
+    /// keeping the first downgrade's reason. `budget_expired` says
+    /// whether the solve's budget ran out: a search it cut short is
+    /// budget-exhausted even when its weights were quantized.
+    pub(crate) fn observe(&mut self, out: &maxsat::MaxSatOutcome, budget_expired: bool) {
         if matches!(out.status, MaxSatStatus::Feasible) {
             self.proved = false;
-            self.reason.get_or_insert(if out.quantum > 1 {
-                "quantized"
-            } else {
-                "budget-exhausted"
-            });
+            self.reason
+                .get_or_insert(if out.quantum > 1 && !budget_expired {
+                    "quantized"
+                } else {
+                    "budget-exhausted"
+                });
         }
     }
 }
@@ -353,7 +357,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         guard_memory(circuit, graph, p)?;
         let enc = self.build_encoding(circuit, graph, EncodeShape::first_slice(), p, telemetry);
         let out = self.solve_instance(&enc, p, budget, telemetry);
-        proof.observe(&out);
+        proof.observe(&out, budget.expired());
         decode_monolithic(circuit, &enc, out, p.swaps_per_gap)
     }
 
@@ -451,7 +455,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             let out =
                 maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, session);
             telemetry.absorb(&out.telemetry);
-            proof.observe(&out);
+            proof.observe(&out, budget.expired());
             (
                 decode_monolithic(request.circuit(), artifact.encoding(), out, p.swaps_per_gap),
                 telemetry,
@@ -507,7 +511,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, &mut session);
         telemetry.absorb(&out.telemetry);
         let mut proof = Proof::new();
-        proof.observe(&out);
+        proof.observe(&out, budget.expired());
         let result =
             decode_monolithic(request.circuit(), artifact.encoding(), out, p.swaps_per_gap);
         *slot = Some(RouteSession { artifact, session });
@@ -572,7 +576,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                 enc.pin_initial_map(&solved[i - 1].final_map);
             }
             let out = self.solve_instance(&enc, p, budget, telemetry);
-            proof.observe(&out);
+            proof.observe(&out, budget.expired());
             match out.status {
                 MaxSatStatus::Optimal | MaxSatStatus::Feasible => {
                     let model = out.model.expect("status implies model");
@@ -660,7 +664,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                             &p.options_for(instance_features(prev_enc)),
                         );
                         telemetry.absorb(&retry.telemetry);
-                        proof.observe(&retry);
+                        proof.observe(&retry, budget.expired());
                         match retry.status {
                             MaxSatStatus::Optimal | MaxSatStatus::Feasible => {
                                 let model = retry.model.expect("status implies model");
@@ -743,7 +747,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             let mut enc = self.build_encoding(slice, graph, shape, p, telemetry);
             enc.pin_initial_map(pin);
             let out = self.solve_instance(&enc, p, budget, telemetry);
-            proof.observe(&out);
+            proof.observe(&out, budget.expired());
             match out.status {
                 MaxSatStatus::Optimal | MaxSatStatus::Feasible => {
                     let model = out.model.expect("status implies model");

@@ -1,5 +1,5 @@
-//! A canonical-outcome cache with warm-start session reuse in front of
-//! the registry.
+//! A canonical-outcome cache, and the one bounded warm-start session
+//! store every serving layer shares.
 //!
 //! [`RouteCache`] keys every request by `(canonical router name,`
 //! [`circuit::RouteRequest::fingerprint`]`)` — a canonical hash of the
@@ -13,29 +13,47 @@
 //!    unsatisfiable-with-these-knobs) are *not* memoized, so a retry
 //!    under a bigger budget re-solves instead of replaying the failure.
 //! 2. **Warm start** — SATMAP routers keep a [`satmap::RouteSession`] per
-//!    key: the encoding artifact plus the MaxSAT engine's clause database,
-//!    incumbent, and bound progress. A re-solve (typically that
-//!    bigger-budget retry) skips re-encoding and resumes the search; the
-//!    outcome reports `warm_start = true` with `reused_clauses` counting
-//!    the carried arena. The session is *forked* (an arena snapshot) for
-//!    the solve, so the stored entry stays valid even if the warm solve is
-//!    abandoned mid-search.
+//!    key in a [`SessionStore`]: the encoding artifact plus the MaxSAT
+//!    engine's clause database, incumbent, and bound progress. A re-solve
+//!    (typically that bigger-budget retry) skips re-encoding and resumes
+//!    the search; the outcome reports `warm_start = true` with
+//!    `reused_clauses` counting the carried arena. The session is
+//!    *forked* (an arena snapshot) for the solve, so the stored entry
+//!    stays valid even if the warm solve is abandoned mid-search.
 //! 3. **Cold** — everything else routes exactly as the plain registry
 //!    would.
 //!
-//! Both maps are **capacity-limited LRU** stores: a long-running daemon
-//! funnels every request through one shared cache, so unbounded growth
-//! would eventually OOM on session clause arenas (the expensive entries —
+//! Both stores are **capacity-limited LRU** maps: a long-running daemon
+//! funnels every request through them, so unbounded growth would
+//! eventually OOM on session clause arenas (the expensive entries —
 //! their default capacity is accordingly much smaller than the outcome
 //! map's). Every hit refreshes an entry's recency; inserting past capacity
 //! evicts the least-recently-used key and bumps the eviction counters
 //! reported by [`RouteCache::stats`].
 //!
+//! # Session lifetime
+//!
+//! Sessions live in exactly one place, a [`SessionStore`], which a
+//! serving layer shares between its cache and its
+//! [`crate::RouteSupervisor`] (the `routed` daemon does). Checkout
+//! (fork, or take when the backend cannot snapshot) and deposit happen
+//! only in [`SessionStore::route`], which always deposits; releasing a
+//! session is the supervisor ladder's decision alone. A session is scoped
+//! to the ladder that needs it: the supervisor's escalated retries resume
+//! from it, a first-attempt proof releases it (that is the answer the
+//! outcome memo stores, so the memo serves the key from then on), and a
+//! fully failed ladder drops it. A ladder that ends on a warm-retry proof
+//! (never memoized) or on an unproven incumbent leaves it behind, so the
+//! next identical request resumes the search — LRU-bounded at the
+//! store's capacity ([`DEFAULT_SESSION_CAPACITY`] by default). A
+//! standalone [`RouteCache::route`] has no ladder: its sessions stay
+//! until the same LRU bound evicts them.
+//!
 //! Serving layers that bring their own solver (e.g. a daemon routing
 //! through a `RouteSupervisor`) compose via the split surface:
 //! [`RouteCache::lookup`] before solving, [`RouteCache::admit`] after —
 //! [`RouteCache::route`] is exactly that composition over the wrapped
-//! registry, plus the SATMAP session tier.
+//! registry, plus the session store.
 //!
 //! Soundness: an exact hit replays a result computed from identical
 //! inputs; a warm start reuses a clause database that is a conservative
@@ -46,9 +64,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use circuit::{RouteOutcome, RouteQuality, RouteRequest};
+use sat::SatBackend;
 use satmap::{RouteSession, SatMap, SatMapConfig};
 
 use crate::{Backend, RouterRegistry, UnknownRouter};
@@ -57,9 +76,9 @@ use crate::{Backend, RouterRegistry, UnknownRouter};
 /// (a routed circuit plus telemetry), so the map can afford to be deep.
 pub const DEFAULT_OUTCOME_CAPACITY: usize = 1024;
 
-/// Default capacity of the warm-start session map. Sessions carry full
-/// clause arenas — megabytes each on hard instances — so a long-running
-/// daemon keeps only the hottest few dozen.
+/// Default capacity of a [`SessionStore`]. Sessions carry full clause
+/// arenas — megabytes each on hard instances — so a long-running daemon
+/// keeps only the hottest few dozen.
 pub const DEFAULT_SESSION_CAPACITY: usize = 64;
 
 /// Cache key: canonical router name plus the request's canonical
@@ -75,19 +94,20 @@ fn memoizable(outcome: &RouteOutcome) -> bool {
     outcome.solved() && outcome.quality() == RouteQuality::Optimal
 }
 
-/// One stored value plus its last-use stamp (a monotone logical clock
-/// shared by both maps; larger = more recently used).
+/// One stored value plus its last-use stamp (larger = more recently used).
 struct Entry<T> {
     value: T,
     stamp: u64,
 }
 
-/// A capacity-limited map with least-recently-used eviction. Eviction
-/// scans for the minimum stamp — O(capacity), which is bounded and tiny
-/// next to a solve — so no intrusive list is needed.
+/// A capacity-limited map with least-recently-used eviction. Recency is
+/// a logical clock bumped on every access. Eviction scans for the minimum
+/// stamp — O(capacity), which is bounded and tiny next to a solve — so no
+/// intrusive list is needed.
 struct Lru<T> {
     map: HashMap<Key, Entry<T>>,
     capacity: usize,
+    clock: u64,
     evictions: u64,
 }
 
@@ -96,32 +116,40 @@ impl<T> Lru<T> {
         Lru {
             map: HashMap::new(),
             capacity,
+            clock: 0,
             evictions: 0,
         }
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    fn touch(&mut self, key: &Key, stamp: u64) -> Option<&mut T> {
+    fn touch(&mut self, key: &Key) -> Option<&mut T> {
+        self.clock += 1;
         let entry = self.map.get_mut(key)?;
-        entry.stamp = stamp;
+        entry.stamp = self.clock;
         Some(&mut entry.value)
     }
 
     /// Inserts (or replaces) `key`, evicting the least-recently-used
     /// entry if the map is full. A zero capacity stores nothing: the
-    /// incoming value is dropped on the floor and counted as evicted.
-    fn insert(&mut self, key: Key, value: T, stamp: u64) {
+    /// incoming value is counted as evicted. Returns the value pushed out
+    /// (evicted, replaced, or refused), so a caller holding a lock can
+    /// drop it after releasing the lock.
+    fn insert(&mut self, key: Key, value: T) -> Option<T> {
         if self.capacity == 0 {
             self.evictions += 1;
-            return;
+            return Some(value);
         }
+        let mut evicted = None;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             if let Some(&oldest) = self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k) {
-                self.map.remove(&oldest);
+                evicted = self.remove(&oldest);
                 self.evictions += 1;
             }
         }
-        self.map.insert(key, Entry { value, stamp });
+        self.clock += 1;
+        let stamp = self.clock;
+        let replaced = self.map.insert(key, Entry { value, stamp });
+        evicted.or(replaced.map(|e| e.value))
     }
 
     fn remove(&mut self, key: &Key) -> Option<T> {
@@ -132,8 +160,104 @@ impl<T> Lru<T> {
         self.map.len()
     }
 
-    fn clear(&mut self) {
-        self.map.clear();
+    /// Empties the map, handing the entries back for dropping outside
+    /// the caller's lock.
+    fn take_all(&mut self) -> HashMap<Key, Entry<T>> {
+        std::mem::take(&mut self.map)
+    }
+}
+
+/// The SATMAP configuration behind a canonical router name that keeps
+/// warm-start sessions; `None` for every other router.
+fn session_config(canonical: &str) -> Option<SatMapConfig> {
+    match canonical {
+        "satmap" => Some(SatMapConfig::default()),
+        "nl-satmap" => Some(SatMapConfig::monolithic()),
+        _ => None,
+    }
+}
+
+/// The bounded warm-start session store: one [`satmap::RouteSession`]
+/// per `(router, fingerprint)` key in an LRU map, shared (behind an
+/// [`Arc`]) by every layer that routes SATMAP requests. See the module
+/// docs for the session lifetime. Generic over the SAT backend the
+/// sessions' solvers run on.
+pub struct SessionStore<B: SatBackend = Backend> {
+    sessions: Mutex<Lru<RouteSession<B>>>,
+}
+
+impl<B: SatBackend + Default + Send> SessionStore<B> {
+    /// An empty store holding at most `capacity` sessions (zero disables
+    /// warm starts: every deposit counts as an eviction).
+    pub fn new(capacity: usize) -> Self {
+        SessionStore {
+            sessions: Mutex::new(Lru::new(capacity)),
+        }
+    }
+
+    /// Sessions currently held.
+    pub fn len(&self) -> usize {
+        lock_or_recover(&self.sessions).len()
+    }
+
+    /// True when no session is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Sessions dropped by LRU eviction since construction.
+    pub fn evictions(&self) -> u64 {
+        lock_or_recover(&self.sessions).evictions
+    }
+
+    // Freeing a session's clause arena takes a fraction of a millisecond,
+    // so every method below takes the doomed sessions out under the lock
+    // and drops them after releasing it: other workers' checkouts,
+    // deposits, and `stats` reads never wait on a free.
+
+    /// Drops every held session (the eviction counter survives).
+    pub fn clear(&self) {
+        let freed = lock_or_recover(&self.sessions).take_all();
+        drop(freed);
+    }
+
+    /// Drops the session held for this request, if any.
+    pub fn release(&self, canonical: &'static str, request: &RouteRequest<'_>) {
+        if session_config(canonical).is_some() {
+            let key = (canonical, request.fingerprint());
+            let freed = lock_or_recover(&self.sessions).remove(&key);
+            drop(freed);
+        }
+    }
+
+    /// One SATMAP route with session reuse, or `None` when `canonical`
+    /// names a router without sessions. Checks the key's session out —
+    /// forked when the backend can snapshot (the stored entry stays
+    /// live), else moved out — solves, and deposits the updated session,
+    /// even after a failure, so the next attempt resumes from the partial
+    /// search. The store never releases a session on its own account:
+    /// that is the ladder's call ([`SessionStore::release`]), or the LRU
+    /// bound's.
+    pub fn route(
+        &self,
+        canonical: &'static str,
+        request: &RouteRequest<'_>,
+    ) -> Option<RouteOutcome> {
+        let router = SatMap::<B>::with_backend(session_config(canonical)?);
+        let key = (canonical, request.fingerprint());
+        let mut slot = {
+            let mut sessions = lock_or_recover(&self.sessions);
+            match sessions.touch(&key).and_then(|s| s.fork()) {
+                forked @ Some(_) => forked,
+                None => sessions.remove(&key),
+            }
+        };
+        let outcome = router.route_with_session(request, &mut slot);
+        if let Some(s) = slot {
+            let freed = lock_or_recover(&self.sessions).insert(key, s);
+            drop(freed);
+        }
+        Some(outcome)
     }
 }
 
@@ -143,11 +267,11 @@ impl<T> Lru<T> {
 pub struct CacheStats {
     /// Memoized outcomes currently held.
     pub outcomes: usize,
-    /// Warm-start sessions currently held.
+    /// Warm-start sessions currently held by the cache's session store.
     pub sessions: usize,
     /// Capacity of the outcome map.
     pub outcome_capacity: usize,
-    /// Capacity of the session map.
+    /// Capacity of the session store.
     pub session_capacity: usize,
     /// Lookups served from the memo ([`RouteCache::lookup`] hits).
     pub hits: u64,
@@ -175,13 +299,10 @@ impl CacheStats {
 /// mutability (mutexed maps) keeps the routing surface `&self`, matching
 /// the registry; locks are held only around map access, never across a
 /// solve, so concurrent requests at worst both solve cold.
-pub struct RouteCache {
+pub struct RouteCache<B: SatBackend = Backend> {
     registry: RouterRegistry,
     outcomes: Mutex<Lru<RouteOutcome>>,
-    sessions: Mutex<Lru<RouteSession<Backend>>>,
-    /// Logical clock stamping every map access (shared by both maps so
-    /// "recently used" means the same thing everywhere).
-    clock: AtomicU64,
+    sessions: Arc<SessionStore<B>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -199,19 +320,31 @@ impl RouteCache {
         Self::with_capacities(registry, DEFAULT_OUTCOME_CAPACITY, DEFAULT_SESSION_CAPACITY)
     }
 
-    /// A cache with explicit LRU capacities. A zero capacity disables the
-    /// corresponding tier (nothing is stored; every insert counts as an
-    /// eviction).
+    /// A cache with explicit LRU capacities and a session store of its
+    /// own. A zero capacity disables the corresponding tier (nothing is
+    /// stored; every insert counts as an eviction).
     pub fn with_capacities(
         registry: RouterRegistry,
         outcome_capacity: usize,
         session_capacity: usize,
     ) -> Self {
+        let sessions = Arc::new(SessionStore::new(session_capacity));
+        Self::with_sessions(registry, outcome_capacity, sessions)
+    }
+}
+
+impl<B: SatBackend + Default + Send> RouteCache<B> {
+    /// A cache whose warm-start tier is `sessions`, a store shared with
+    /// other layers (typically a [`crate::RouteSupervisor`]).
+    pub fn with_sessions(
+        registry: RouterRegistry,
+        outcome_capacity: usize,
+        sessions: Arc<SessionStore<B>>,
+    ) -> Self {
         RouteCache {
             registry,
             outcomes: Mutex::new(Lru::new(outcome_capacity)),
-            sessions: Mutex::new(Lru::new(session_capacity)),
-            clock: AtomicU64::new(0),
+            sessions,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -229,13 +362,13 @@ impl RouteCache {
 
     /// Number of warm-start sessions held.
     pub fn cached_sessions(&self) -> usize {
-        lock_or_recover(&self.sessions).len()
+        self.sessions.len()
     }
 
     /// Occupancy, traffic, and eviction counters.
     pub fn stats(&self) -> CacheStats {
         let outcomes = lock_or_recover(&self.outcomes);
-        let sessions = lock_or_recover(&self.sessions);
+        let sessions = lock_or_recover(&self.sessions.sessions);
         CacheStats {
             outcomes: outcomes.len(),
             sessions: sessions.len(),
@@ -248,14 +381,11 @@ impl RouteCache {
         }
     }
 
-    /// Drops all memoized outcomes and sessions (counters survive).
+    /// Drops all memoized outcomes and every session in the cache's
+    /// store, shared or not (counters survive).
     pub fn clear(&self) {
-        lock_or_recover(&self.outcomes).clear();
-        lock_or_recover(&self.sessions).clear();
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+        lock_or_recover(&self.outcomes).take_all();
+        self.sessions.clear();
     }
 
     /// The memo half of the cache: returns the stored outcome for this
@@ -276,14 +406,11 @@ impl RouteCache {
     ) -> Result<Option<RouteOutcome>, UnknownRouter> {
         let canonical = self.registry.canonical(name)?;
         let key = (canonical, request.fingerprint());
-        let stamp = self.tick();
-        let hit = lock_or_recover(&self.outcomes)
-            .touch(&key, stamp)
-            .map(|stored| {
-                let mut out = stored.clone();
-                out.telemetry_mut().cache_hit = true;
-                out.with_request_id(request.request_id())
-            });
+        let hit = lock_or_recover(&self.outcomes).touch(&key).map(|stored| {
+            let mut out = stored.clone();
+            out.telemetry_mut().cache_hit = true;
+            out.with_request_id(request.request_id())
+        });
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -309,8 +436,7 @@ impl RouteCache {
             return Ok(false);
         }
         let key = (canonical, request.fingerprint());
-        let stamp = self.tick();
-        lock_or_recover(&self.outcomes).insert(key, outcome.clone(), stamp);
+        lock_or_recover(&self.outcomes).insert(key, outcome.clone());
         Ok(true)
     }
 
@@ -333,45 +459,17 @@ impl RouteCache {
         if let Some(hit) = self.lookup(canonical, request)? {
             return Ok(hit);
         }
-        let key = (canonical, request.fingerprint());
-        let outcome = match canonical {
-            "satmap" => self.route_satmap(SatMapConfig::default(), key, request),
-            "nl-satmap" => self.route_satmap(SatMapConfig::monolithic(), key, request),
-            _ => self.registry.route(canonical, request)?,
+        let outcome = match self.sessions.route(canonical, request) {
+            Some(outcome) => outcome,
+            None => self.registry.route(canonical, request)?,
         };
         self.admit(canonical, request, &outcome)?;
         Ok(outcome.with_request_id(request.request_id()))
     }
-
-    /// One SATMAP route with session reuse: fork the stored session when
-    /// the backend can snapshot (keeping the stored entry live), else move
-    /// it out; solve; store the updated session back.
-    fn route_satmap(
-        &self,
-        config: SatMapConfig,
-        key: Key,
-        request: &RouteRequest<'_>,
-    ) -> RouteOutcome {
-        let router = SatMap::<Backend>::with_backend(config);
-        let mut slot = {
-            let stamp = self.tick();
-            let mut sessions = lock_or_recover(&self.sessions);
-            match sessions.touch(&key, stamp).and_then(|s| s.fork()) {
-                forked @ Some(_) => forked,
-                None => sessions.remove(&key),
-            }
-        };
-        let outcome = router.route_with_session(request, &mut slot);
-        if let Some(s) = slot {
-            let stamp = self.tick();
-            lock_or_recover(&self.sessions).insert(key, s, stamp);
-        }
-        outcome
-    }
 }
 
 /// Poison-tolerant lock: a panicking worker thread cannot wedge the cache
-/// for every other request.
+/// or the session store for every other request.
 fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -506,25 +604,25 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used_key() {
         let mut lru: Lru<u32> = Lru::new(2);
-        lru.insert(("a", 0), 1, 0);
-        lru.insert(("b", 0), 2, 1);
+        lru.insert(("a", 0), 1);
+        lru.insert(("b", 0), 2);
         // Touch "a": "b" becomes the oldest.
-        assert_eq!(lru.touch(&("a", 0), 2).copied(), Some(1));
-        lru.insert(("c", 0), 3, 3);
+        assert_eq!(lru.touch(&("a", 0)).copied(), Some(1));
+        lru.insert(("c", 0), 3);
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.evictions, 1);
-        assert!(lru.touch(&("b", 0), 4).is_none(), "LRU entry evicted");
-        assert!(lru.touch(&("a", 0), 5).is_some(), "touched entry kept");
+        assert!(lru.touch(&("b", 0)).is_none(), "LRU entry evicted");
+        assert!(lru.touch(&("a", 0)).is_some(), "touched entry kept");
         // Replacing an existing key never evicts.
-        lru.insert(("c", 0), 9, 6);
+        lru.insert(("c", 0), 9);
         assert_eq!(lru.evictions, 1);
-        assert_eq!(lru.touch(&("c", 0), 7).copied(), Some(9));
+        assert_eq!(lru.touch(&("c", 0)).copied(), Some(9));
     }
 
     #[test]
     fn zero_capacity_disables_a_tier() {
         let mut lru: Lru<u32> = Lru::new(0);
-        lru.insert(("a", 0), 1, 0);
+        lru.insert(("a", 0), 1);
         assert_eq!(lru.len(), 0);
         assert_eq!(lru.evictions, 1, "dropped inserts count as evictions");
     }

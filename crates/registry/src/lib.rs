@@ -31,7 +31,9 @@
 //! Two front ends layer over the registry: [`RouteCache`] (memoization +
 //! warm-start session reuse) and [`RouteSupervisor`] (admission control, a
 //! retry/escalation ladder with warm-started retries, heuristic
-//! degradation, and panic isolation — see [`supervisor`]).
+//! degradation, and panic isolation — see [`supervisor`]). Both keep their
+//! SATMAP warm-start sessions in a bounded [`SessionStore`], which a
+//! serving layer shares between them.
 //!
 //! # Examples
 //!
@@ -57,7 +59,8 @@
 mod cache;
 pub mod supervisor;
 
-pub use cache::{CacheStats, RouteCache, DEFAULT_OUTCOME_CAPACITY, DEFAULT_SESSION_CAPACITY};
+pub use cache::{CacheStats, RouteCache, SessionStore};
+pub use cache::{DEFAULT_OUTCOME_CAPACITY, DEFAULT_SESSION_CAPACITY};
 pub use supervisor::{RoutePolicy, RouteSupervisor, ENCODING_ROUTERS};
 
 use circuit::Router;

@@ -14,11 +14,11 @@
 //!    up to [`RoutePolicy::max_attempts`] times, each retry after a
 //!    deterministic jittered backoff ([`ResourceBudget::backoff_for`]) and
 //!    under a budget scaled by [`RoutePolicy::escalation`]. SATMAP retries
-//!    warm-start from the session deposited by the failed attempt (same
-//!    mechanism as [`crate::RouteCache`]; budgets are excluded from the
-//!    request fingerprint, so an escalated retry reuses the clause
-//!    database, incumbent, and bound instead of starting over). A proven
-//!    answer on attempt `k > 1` is stamped
+//!    warm-start from the session deposited by the failed attempt in the
+//!    supervisor's [`SessionStore`] (budgets and parallelism are excluded
+//!    from the request fingerprint, so an escalated or widened retry
+//!    reuses the clause database, incumbent, and bound instead of
+//!    starting over). A proven answer on attempt `k > 1` is stamped
 //!    [`RouteQuality::WarmRetry`]`(k - 1)`.
 //! 3. **Heuristic degradation** — when the ladder is exhausted, the best
 //!    unproven incumbent (if any attempt produced one) or the fallback
@@ -34,22 +34,37 @@
 //! isolation boundary: a crash inside a router surfaces as a retryable
 //! [`RouteError::Internal`], never as a process panic.
 //!
+//! # Session lifetime
+//!
+//! A SATMAP session is scoped to its ladder, and [`RouteSupervisor`] is
+//! the one place that releases it. A first-attempt proof releases it:
+//! that `Optimal` answer is what the daemon's outcome cache memoizes, so
+//! the cache serves the key from then on. So does every failing terminal
+//! verdict — a fully failed ladder, a cancellation, a deterministic
+//! error. A ladder that ends on a [`RouteQuality::WarmRetry`] proof
+//! (never memoized) or on an unproven incumbent leaves its session in
+//! the store, where the next identical request resumes the search —
+//! typically proving on its first attempt, after which the memo takes
+//! over and the session goes. The store is LRU-bounded
+//! ([`crate::DEFAULT_SESSION_CAPACITY`] unless the caller shares a store
+//! of its own via [`RouteSupervisor::with_sessions`]), so the clause
+//! arenas a long-running daemon holds never grow with the number of
+//! distinct requests.
+//!
 //! Soundness: `Optimal` and `WarmRetry` outcomes carry the same optimality
 //! proof a plain route would — warm-started retries reuse only
 //! conservative-extension clause databases (see `maxsat::MaxSatSession`)
 //! — so their costs equal the fault-free cost. Only `Degraded` outcomes
 //! may cost more, and they say so.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 use circuit::{RouteError, RouteOutcome, RouteQuality, RouteRequest};
 use sat::{ResourceBudget, SatBackend, SolverTelemetry};
-use satmap::{RouteSession, SatMap, SatMapConfig};
 
-use crate::{Backend, RouterRegistry, UnknownRouter};
+use crate::{Backend, RouterRegistry, SessionStore, UnknownRouter, DEFAULT_SESSION_CAPACITY};
 
 /// Registered routers that pay for a SAT/SMT-style encoding before
 /// solving — the ones admission control can meaningfully shed. Heuristic
@@ -118,10 +133,6 @@ impl Default for RoutePolicy {
     }
 }
 
-/// Session key: canonical router name plus request fingerprint (budget
-/// and parallelism excluded — that is what makes escalated retries warm).
-type Key = (&'static str, u64);
-
 /// A resilience layer over the [`RouterRegistry`]: admission control, a
 /// retry/escalation ladder with warm-started SATMAP retries, heuristic
 /// degradation, and per-attempt panic isolation. See the module docs for
@@ -134,7 +145,7 @@ type Key = (&'static str, u64);
 pub struct RouteSupervisor<B: SatBackend + Default + Send = Backend> {
     registry: RouterRegistry,
     policy: RoutePolicy,
-    sessions: Mutex<HashMap<Key, RouteSession<B>>>,
+    sessions: Arc<SessionStore<B>>,
 }
 
 impl Default for RouteSupervisor {
@@ -157,12 +168,24 @@ impl RouteSupervisor {
 
 impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
     /// A supervisor with an explicit registry, policy, and SATMAP backend
-    /// type.
+    /// type, holding its sessions in a store of its own
+    /// ([`DEFAULT_SESSION_CAPACITY`]).
     pub fn with_registry_and_policy(registry: RouterRegistry, policy: RoutePolicy) -> Self {
+        let sessions = Arc::new(SessionStore::new(DEFAULT_SESSION_CAPACITY));
+        Self::with_sessions(registry, policy, sessions)
+    }
+
+    /// A supervisor whose warm-start sessions live in `sessions`, a store
+    /// shared with other layers (typically a [`crate::RouteCache`]).
+    pub fn with_sessions(
+        registry: RouterRegistry,
+        policy: RoutePolicy,
+        sessions: Arc<SessionStore<B>>,
+    ) -> Self {
         RouteSupervisor {
             registry,
             policy,
-            sessions: Mutex::new(HashMap::new()),
+            sessions,
         }
     }
 
@@ -174,6 +197,11 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
     /// The wrapped registry.
     pub fn registry(&self) -> &RouterRegistry {
         &self.registry
+    }
+
+    /// The warm-start session store.
+    pub fn sessions(&self) -> &SessionStore<B> {
+        &self.sessions
     }
 
     /// Routes `request` through the resilience ladder. The returned
@@ -207,21 +235,32 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
             .is_some_and(|t| t.is_cancelled())
     }
 
-    /// The typed verdict for an aborted request.
-    fn cancelled_outcome(canonical: &'static str, attempts: u32) -> RouteOutcome {
+    /// An outcome carrying only a typed failure: an abort, a panicked
+    /// attempt, or a ladder with nothing to degrade to.
+    fn failed(canonical: &'static str, error: RouteError, attempts: u32) -> RouteOutcome {
         RouteOutcome::new(
             canonical,
-            Err(RouteError::Cancelled),
+            Err(error),
             SolverTelemetry::new(),
             Duration::ZERO,
         )
         .with_attempts(attempts)
     }
 
-    /// Admission check: predicted encoding size of a budgeted request to
-    /// an encoding-based router, against the policy limit. Costs O(1) —
-    /// the shed happens *before* any encode time is spent.
-    fn admit(&self, canonical: &'static str, request: &RouteRequest<'_>) -> Result<(), RouteError> {
+    /// The admission rule: a budgeted request to an encoding-based router
+    /// ([`ENCODING_ROUTERS`]) is shed when its predicted encoding size
+    /// ([`satmap::encoding_estimate`]) times the worker count its plan
+    /// would clone the formula across ([`satmap::planned_width`]) exceeds
+    /// [`RoutePolicy::admission_limit`]. Costs O(1) — the shed happens
+    /// *before* any encode time is spent. The ladder applies it first;
+    /// serving layers call it at their door to shed by the same rule.
+    /// Unknown router names are admitted (routing them reports the name).
+    ///
+    /// # Errors
+    ///
+    /// [`RouteError::Overloaded`] naming the estimate, width, and limit.
+    pub fn admit(&self, name: &str, request: &RouteRequest<'_>) -> Result<(), RouteError> {
+        let canonical = self.registry.canonical(name).unwrap_or_default();
         if !ENCODING_ROUTERS.contains(&canonical) || !request.budget().is_limited() {
             return Ok(());
         }
@@ -249,13 +288,18 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
         if let Err(shed) = self.admit(canonical, request) {
             return self.degrade(canonical, request, shed, 1);
         }
+        // Verdicts that end the key's session (see the module docs).
+        let done = |outcome: RouteOutcome| {
+            self.sessions.release(canonical, request);
+            outcome
+        };
         let base_time = request.budget().remaining_time();
         let max_attempts = self.policy.max_attempts.max(1);
         let mut best_unproven: Option<RouteOutcome> = None;
         let mut last_failure: Option<RouteError> = None;
         for attempt in 1..=max_attempts {
             if Self::cancelled(request) {
-                return Self::cancelled_outcome(canonical, attempt);
+                return done(Self::failed(canonical, RouteError::Cancelled, attempt));
             }
             if attempt > 1 {
                 std::thread::sleep(ResourceBudget::backoff_for(
@@ -270,13 +314,15 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
             match outcome.error() {
                 None => {
                     if outcome.quality() == RouteQuality::Optimal {
-                        // Proven answer: cost-correct by construction.
-                        let quality = if attempt == 1 {
-                            RouteQuality::Optimal
-                        } else {
-                            RouteQuality::WarmRetry(attempt - 1)
-                        };
-                        return outcome.with_quality(quality).with_attempts(attempt);
+                        // Proven answer: cost-correct by construction. A
+                        // warm-retry proof keeps its session: it is never
+                        // memoized, so a repeat resumes from the session.
+                        if attempt == 1 {
+                            return done(outcome.with_attempts(1));
+                        }
+                        return outcome
+                            .with_quality(RouteQuality::WarmRetry(attempt - 1))
+                            .with_attempts(attempt);
                     }
                     // Unproven incumbent (already stamped Degraded by the
                     // router): keep the cheapest and escalate for a proof.
@@ -289,16 +335,18 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                 | Some(RouteError::Unsatisfiable(_))
                 | Some(RouteError::Cancelled) => {
                     // Deterministic verdicts: retrying cannot change them.
-                    return outcome.with_attempts(attempt);
+                    return done(outcome.with_attempts(attempt));
                 }
                 Some(e) => {
                     // A solve killed by the abort handle surfaces as a
                     // budget expiry; re-type it so the caller sees a
                     // cancellation, keeping the effort the attempt spent.
                     if Self::cancelled(request) {
-                        return outcome
-                            .with_result(Err(RouteError::Cancelled))
-                            .with_attempts(attempt);
+                        return done(
+                            outcome
+                                .with_result(Err(RouteError::Cancelled))
+                                .with_attempts(attempt),
+                        );
                     }
                     last_failure = Some(e.clone());
                 }
@@ -308,26 +356,21 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
             // An aborted request must not burn fallback work — and must
             // not hand back a partial incumbent either: the caller said
             // *stop*, so the only honest answer is the typed cancellation.
-            return Self::cancelled_outcome(canonical, max_attempts);
+            return done(Self::failed(canonical, RouteError::Cancelled, max_attempts));
         }
         if let Some(best) = best_unproven {
+            // The session stays: the next identical request resumes the
+            // search for a proof.
             return best
                 .with_quality(RouteQuality::Degraded)
                 .with_attempts(max_attempts);
         }
         let failure = last_failure.unwrap_or(RouteError::Timeout);
-        // The whole ladder failed: drop the warm session for this key.
-        // Search state retained across a fully failed ladder is correlated
-        // with the failure (a wedged or fault-injected solver instance),
-        // and resuming from it would replay the failure on the next
-        // identical request instead of giving a cold start a chance.
-        self.evict_session(canonical, request);
-        self.degrade(canonical, request, failure, max_attempts)
-    }
-
-    /// Removes the stored warm-start session for this request, if any.
-    fn evict_session(&self, canonical: &'static str, request: &RouteRequest<'_>) {
-        lock_or_recover(&self.sessions).remove(&(canonical, request.fingerprint()));
+        // The whole ladder failed: search state retained across it is
+        // correlated with the failure (a wedged or fault-injected solver
+        // instance), and resuming from it would replay the failure on the
+        // next identical request instead of giving a cold start a chance.
+        done(self.degrade(canonical, request, failure, max_attempts))
     }
 
     /// Scales the request's time budget for attempt `attempt` (1-based);
@@ -362,54 +405,21 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
     }
 
     /// One panic-isolated routing attempt. SATMAP family attempts run on
-    /// this supervisor's backend with warm-start session reuse; everything
-    /// else is built cold by the registry. A panic anywhere inside
-    /// surfaces as a retryable [`RouteError::Internal`].
+    /// this supervisor's backend with warm-start session reuse;
+    /// everything else is built cold by the registry. A panic anywhere
+    /// inside surfaces as a retryable [`RouteError::Internal`].
     fn attempt(&self, canonical: &'static str, request: &RouteRequest<'_>) -> RouteOutcome {
-        let run = || match canonical {
-            "satmap" => self.attempt_satmap(SatMapConfig::default(), canonical, request),
-            "nl-satmap" => self.attempt_satmap(SatMapConfig::monolithic(), canonical, request),
-            _ => self
-                .registry
-                .route(canonical, request)
-                .expect("canonical name is registered"),
+        let run = || {
+            self.sessions.route(canonical, request).unwrap_or_else(|| {
+                self.registry
+                    .route(canonical, request)
+                    .expect("canonical name is registered")
+            })
         };
         catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-            RouteOutcome::new(
-                canonical,
-                Err(RouteError::Internal(
-                    "routing attempt panicked; retrying".into(),
-                )),
-                SolverTelemetry::new(),
-                Duration::ZERO,
-            )
+            let panicked = RouteError::Internal("routing attempt panicked; retrying".into());
+            Self::failed(canonical, panicked, 1)
         })
-    }
-
-    /// One SATMAP route with session reuse (the warm half of the ladder):
-    /// fork the stored session when the backend can snapshot, else move it
-    /// out; solve; deposit the updated session — even after a failure, so
-    /// the *next* attempt resumes from the partial search.
-    fn attempt_satmap(
-        &self,
-        config: SatMapConfig,
-        canonical: &'static str,
-        request: &RouteRequest<'_>,
-    ) -> RouteOutcome {
-        let router = SatMap::<B>::with_backend(config);
-        let key = (canonical, request.fingerprint());
-        let mut slot = {
-            let mut sessions = lock_or_recover(&self.sessions);
-            match sessions.get(&key).and_then(|s| s.fork()) {
-                forked @ Some(_) => forked,
-                None => sessions.remove(&key),
-            }
-        };
-        let outcome = router.route_with_session(request, &mut slot);
-        if let Some(s) = slot {
-            lock_or_recover(&self.sessions).insert(key, s);
-        }
-        outcome
     }
 
     /// Terminal degradation: answer with the fallback heuristic, stamped
@@ -438,20 +448,8 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                 }
             }
         }
-        RouteOutcome::new(
-            canonical,
-            Err(failure),
-            SolverTelemetry::new(),
-            Duration::ZERO,
-        )
-        .with_attempts(attempts)
+        Self::failed(canonical, failure, attempts)
     }
-}
-
-/// Poison-tolerant lock: a panic while holding the sessions map cannot
-/// take the supervisor down with it.
-fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Swap count of a solved outcome (used to pick the best incumbent).
@@ -676,6 +674,99 @@ mod tests {
         });
         let retry = fixed.escalated_request(&base, base_time, 2);
         assert_eq!(retry.parallelism(), circuit::Parallelism::Serial);
+    }
+
+    /// Test policy: the standard ladder with millisecond backoffs.
+    fn quick_policy() -> RoutePolicy {
+        RoutePolicy {
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            ..RoutePolicy::default()
+        }
+    }
+
+    #[test]
+    fn proven_ladders_release_their_sessions() {
+        let (base, g) = fig3();
+        let supervisor = RouteSupervisor::with_policy(quick_policy());
+        for variant in 0..4 {
+            // A trailing single-qubit gate makes each a distinct key.
+            let mut c = base.clone();
+            c.h(variant);
+            for router in ["satmap", "nl-satmap"] {
+                let out = supervisor
+                    .route(router, &RouteRequest::new(&c, &g))
+                    .expect("known");
+                assert_eq!(out.quality(), RouteQuality::Optimal);
+            }
+        }
+        assert_eq!(supervisor.sessions().len(), 0, "proof releases the session");
+        assert_eq!(supervisor.sessions().evictions(), 0);
+    }
+
+    #[test]
+    fn unproven_ladders_are_bounded_by_the_store_capacity() {
+        // Fidelity weights on these circuits quantize coarsely, so even a
+        // complete search only claims Feasible: every attempt is an
+        // unproven incumbent, and each ladder keeps its session.
+        let g = arch::devices::grid(2, 2);
+        let noise = arch::NoiseModel::synthetic(&g, 2022);
+        let capacity = 2;
+        let supervisor = RouteSupervisor::with_sessions(
+            RouterRegistry::standard(),
+            quick_policy(),
+            Arc::new(SessionStore::<Backend>::new(capacity)),
+        );
+        let seeds = [1, 2, 7];
+        for seed in seeds {
+            let c = circuit::generators::random_local(4, 6, 3, 0.5, seed);
+            let request = RouteRequest::new(&c, &g)
+                .with_objective(circuit::Objective::Fidelity(noise.clone()));
+            let out = supervisor.route("nl-satmap", &request).expect("known");
+            assert!(out.solved());
+            assert_eq!(out.quality(), RouteQuality::Degraded);
+            assert_eq!(out.diagnostic("degraded_from"), None, "not the fallback");
+            assert!(supervisor.sessions().len() <= capacity);
+        }
+        assert_eq!(supervisor.sessions().len(), capacity);
+        assert_eq!(
+            supervisor.sessions().evictions(),
+            (seeds.len() - capacity) as u64
+        );
+    }
+
+    #[test]
+    fn escalated_retry_warm_starts_from_the_failed_attempt() {
+        // Attempt 1's microsecond budget expires while it encodes; the
+        // escalated attempt 2 gets a second and resumes the deposited
+        // session instead of re-encoding.
+        let (c, g) = fig3();
+        let supervisor = RouteSupervisor::with_policy(RoutePolicy {
+            escalation: 1e6,
+            ..quick_policy()
+        });
+        let request = RouteRequest::new(&c, &g).with_budget(Duration::from_micros(1));
+        let out = supervisor.route("nl-satmap", &request).expect("known");
+        assert!(
+            out.attempts() >= 2,
+            "attempt 1 must fail: {}",
+            out.attempts()
+        );
+        assert_eq!(out.quality(), RouteQuality::WarmRetry(out.attempts() - 1));
+        assert!(out.telemetry().warm_start, "{}", out.telemetry());
+        assert!(out.telemetry().reused_clauses > 0, "{}", out.telemetry());
+        assert_eq!(out.routed().expect("solved").swap_count(), 1);
+        // A warm-retry proof is never memoized, so its session stays: a
+        // repeat of the request resumes it and proves on attempt 1, the
+        // answer an outcome cache would store, which releases it.
+        assert_eq!(supervisor.sessions().len(), 1, "warm-retry keeps it");
+        let repeat = supervisor
+            .route("nl-satmap", &RouteRequest::new(&c, &g))
+            .expect("known");
+        assert_eq!(repeat.quality(), RouteQuality::Optimal);
+        assert_eq!(repeat.attempts(), 1);
+        assert!(repeat.telemetry().warm_start, "{}", repeat.telemetry());
+        assert_eq!(supervisor.sessions().len(), 0, "proof releases the session");
     }
 
     #[test]

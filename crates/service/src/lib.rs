@@ -15,7 +15,8 @@
 //!   [`circuit::RouteError::Overloaded`]), dispatch through a shared
 //!   [`routers::RouteSupervisor`] (retries, degradation, panic
 //!   isolation) and [`routers::RouteCache`] (memoization + LRU
-//!   eviction), server-assigned request ids with per-request abort
+//!   eviction) over one bounded [`routers::SessionStore`] of
+//!   warm-start sessions, server-assigned request ids with per-request abort
 //!   handles ([`sat::CancelRegistry`]), `stats` introspection and
 //!   graceful `drain`.
 //! * **[`client`]** — a blocking [`ServiceClient`] that demultiplexes

@@ -25,13 +25,12 @@
 //!
 //! A `route` line is admitted, rejected, or shed *before* any encode or
 //! solve work, in O(request size): unknown routers and impossible
-//! circuits bounce as `InvalidRequest`; budgeted requests to
-//! encoding-based routers ([`routers::ENCODING_ROUTERS`]) whose
-//! [`satmap::encoding_estimate`] — multiplied by the worker count the
-//! dispatch plan would clone the formula across
-//! ([`satmap::planned_width`]) — exceeds the policy's admission limit are
-//! shed as [`RouteError::Overloaded`], as is everything when the work
-//! queue is full or the daemon is draining. Shedding at the door is the
+//! circuits bounce as `InvalidRequest`; requests that fail the
+//! supervisor's admission rule ([`RouteSupervisor::admit`]: a budgeted
+//! encoding-router request whose predicted encoding, times its planned
+//! worker width, exceeds the policy's admission limit) are shed as
+//! [`RouteError::Overloaded`], as is everything when the work queue is
+//! full or the daemon is draining. Shedding at the door is the
 //! service-level choice: under overload the daemon answers cheaply and
 //! keeps latency bounded instead of queueing heuristic-degraded answers.
 //!
@@ -54,7 +53,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use circuit::{escape_json, Parallelism, RouteError, RouteOutcome, RouteRequest};
-use routers::{RouteCache, RoutePolicy, RouteSupervisor, RouterRegistry, StandardBackend};
+use routers::{
+    RouteCache, RoutePolicy, RouteSupervisor, RouterRegistry, SessionStore, StandardBackend,
+};
 use sat::{CancelRegistry, SatBackend, SolverTelemetry};
 
 use crate::queue::BoundedQueue;
@@ -76,7 +77,8 @@ pub struct DaemonConfig {
     pub policy: RoutePolicy,
     /// Route-cache memo capacity (see [`routers::RouteCache`]).
     pub outcome_capacity: usize,
-    /// Route-cache warm-start session capacity.
+    /// Capacity of the warm-start session store the supervisor and the
+    /// cache share (see [`routers::SessionStore`]).
     pub session_capacity: usize,
 }
 
@@ -135,7 +137,7 @@ fn write_line(writer: &LineWriter, row: &str) {
 
 struct Shared<B: SatBackend + Default + Send + 'static> {
     supervisor: RouteSupervisor<B>,
-    cache: RouteCache,
+    cache: RouteCache<B>,
     queue: BoundedQueue<Job>,
     stats: ServiceStats,
     cancels: CancelRegistry,
@@ -197,15 +199,17 @@ impl<B: SatBackend + Default + Send + 'static> Daemon<B> {
             .workers
             .unwrap_or_else(|| worker_pool_width(Parallelism::Auto))
             .max(1);
+        let sessions = Arc::new(SessionStore::new(config.session_capacity));
         let shared = Arc::new(Shared {
-            supervisor: RouteSupervisor::with_registry_and_policy(
+            supervisor: RouteSupervisor::with_sessions(
                 RouterRegistry::standard(),
                 config.policy,
+                Arc::clone(&sessions),
             ),
-            cache: RouteCache::with_capacities(
+            cache: RouteCache::with_sessions(
                 RouterRegistry::standard(),
                 config.outcome_capacity,
-                config.session_capacity,
+                sessions,
             ),
             queue: BoundedQueue::new(config.queue_capacity),
             stats: ServiceStats::default(),
@@ -386,12 +390,9 @@ fn handle_route<B: SatBackend + Default + Send + 'static>(
         );
         return;
     }
-    if let Some(why) = admission_verdict(shared, &command) {
+    if let Err(shed) = shared.supervisor.admit(&command.router, &request) {
         shared.stats.route_shed();
-        write_line(
-            writer,
-            &door_row(&command.router, id, RouteError::Overloaded(why)),
-        );
+        write_line(writer, &door_row(&command.router, id, shed));
         return;
     }
     drop(request);
@@ -430,36 +431,6 @@ fn handle_route<B: SatBackend + Default + Send + 'static>(
             }
         }
     }
-}
-
-/// The admission estimate, mirroring the supervisor's rule: only
-/// budgeted requests to encoding-based routers can be shed, and only
-/// when the O(1) size proxy — the encoding estimate times the worker
-/// count the dispatch plan would clone it across — would blow the limit.
-fn admission_verdict<B: SatBackend + Default + Send + 'static>(
-    shared: &Shared<B>,
-    command: &RouteCommand,
-) -> Option<String> {
-    let canonical = shared.cache.registry().canonical(&command.router).ok()?;
-    if !routers::ENCODING_ROUTERS.contains(&canonical) || !command.spec.budget.is_limited() {
-        return None;
-    }
-    let swaps_per_gap = command.spec.swaps_per_gap.unwrap_or(1);
-    let estimate = satmap::encoding_estimate(&command.circuit, &command.graph, swaps_per_gap);
-    let width = satmap::planned_width(
-        &command.circuit,
-        &command.graph,
-        command.spec.parallelism,
-        command.spec.strategy,
-        swaps_per_gap,
-    );
-    let limit = shared.supervisor.policy().admission_limit;
-    (estimate.saturating_mul(width) > limit).then(|| {
-        format!(
-            "encoding estimate {estimate} x planned width {width} exceeds \
-             the admission limit {limit}"
-        )
-    })
 }
 
 fn worker_loop<B: SatBackend + Default + Send + 'static>(shared: &Arc<Shared<B>>) {

@@ -141,7 +141,8 @@ pub struct StatsSnapshot {
 
 impl StatsSnapshot {
     /// Renders the `stats` response row, folding in the queue depth, the
-    /// worker-pool width, the drain flag, and the route cache's counters.
+    /// worker-pool width, the drain flag, and the route cache's counters
+    /// (its sessions are the store the supervisor solves from).
     pub fn to_json(
         &self,
         queue_depth: usize,

@@ -380,3 +380,55 @@ fn routes_after_drain_are_shed() {
     assert!(row.contains("draining"), "{row}");
     daemon.join();
 }
+
+#[test]
+fn session_store_stays_within_its_capacity() {
+    // More distinct satmap requests than the store holds: budget-cut
+    // ladders that end on a warm-retry proof or an unproven incumbent
+    // keep their sessions, first-attempt proofs release theirs, and
+    // `stats` reports the shared store.
+    let capacity = 2;
+    let daemon: Daemon = Daemon::bind(DaemonConfig {
+        workers: Some(1),
+        session_capacity: capacity,
+        ..DaemonConfig::default()
+    })
+    .expect("bind");
+    let mut client = ServiceClient::connect(daemon.local_addr()).expect("connect");
+    let mut lines: Vec<String> = (1..=4)
+        .map(|seed| {
+            wire::route_line(
+                "satmap",
+                "ring:6",
+                &dense(6, 24, seed),
+                &[("budget_ms", "20".into())],
+            )
+        })
+        .collect();
+    for q in 0..2 {
+        let mut c = fig3();
+        c.h(q);
+        lines.push(wire::route_line("satmap", "linear:4", &c, &[]));
+    }
+    let mut kept = 0u64;
+    for line in &lines {
+        let id = client.submit_route(line).expect("submit").id();
+        let row = parse_json(&client.wait(id).expect("outcome")).expect("parses");
+        let fallback = outcome_field(&row, "diagnostics").get("degraded_from");
+        match outcome_field(&row, "quality").as_str() {
+            Some("warm_retry") => kept += 1,
+            Some("degraded") if fallback.is_none() => kept += 1,
+            _ => {}
+        }
+    }
+    let stats = parse_json(&client.stats().expect("stats")).expect("row");
+    let sessions = u64_field(&stats, "cache_sessions");
+    assert!(sessions <= capacity as u64, "{sessions} sessions held");
+    // Only those ladders keep a session. (A failed ladder's session
+    // occupies one slot until the ladder ends, so it may have evicted
+    // one of theirs.)
+    assert!(sessions <= kept, "{sessions} held, {kept} kept");
+    assert_eq!(sessions > 0, kept > 0, "the store is the one reported");
+    client.drain().expect("drain");
+    daemon.join();
+}
