@@ -341,9 +341,9 @@ fn maxsat_strategies(c: &mut Criterion) {
     group.sample_size(10);
     let inst = placement_wcnf(7, 4);
     for (label, strategy) in [
-        ("linear", maxsat::Strategy::LinearSatUnsat),
-        ("core-guided", maxsat::Strategy::CoreGuided),
-        ("race", maxsat::Strategy::Race),
+        ("linear", SearchStrategy::Linear),
+        ("core-guided", SearchStrategy::CoreGuided),
+        ("race", SearchStrategy::Race),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
@@ -386,13 +386,13 @@ fn weighted_core(c: &mut Criterion) {
         satmap::encode::EncodeShape::first_slice(),
         &Objective::Fidelity(noise),
     );
-    let core = maxsat::SolveOptions::default().with_strategy(maxsat::Strategy::CoreGuided);
+    let core = maxsat::SolveOptions::default().with_strategy(SearchStrategy::CoreGuided);
     let configs = [
         ("stratified", core),
         ("plain", core.plain_core_guided()),
         (
             "linear",
-            maxsat::SolveOptions::default().with_strategy(maxsat::Strategy::LinearSatUnsat),
+            maxsat::SolveOptions::default().with_strategy(SearchStrategy::Linear),
         ),
     ];
     for (label, options) in &configs {

@@ -15,8 +15,9 @@
 //! router: the same boxed [`crate::Router`] can serve an unlimited
 //! interactive request and a 2-second sweep request back to back. The
 //! budget threads unchanged through every nested MaxSAT and SAT call (see
-//! [`sat::ResourceBudget`]), and the parallelism hint sizes the SAT
-//! portfolio at request time from [`std::thread::available_parallelism`].
+//! [`sat::ResourceBudget`]), and the parallelism and strategy hints pass
+//! unchanged to the MaxSAT engine, whose dispatcher resolves them per
+//! solver call against the instance it is handed.
 //!
 //! # Examples
 //!
@@ -31,7 +32,7 @@
 //!     .with_budget(Duration::from_secs(2))
 //!     .with_parallelism(Parallelism::Auto);
 //! assert!(request.validate().is_ok());
-//! assert!(request.parallelism().resolve() >= 1);
+//! assert_eq!(request.parallelism(), Parallelism::Auto);
 //! ```
 
 use std::time::{Duration, Instant};
@@ -69,84 +70,7 @@ pub enum Slicing {
     Sliced(usize),
 }
 
-pub use sat::MAX_AUTO_WIDTH;
-
-/// Which MaxSAT search strategy the SAT-based routers run per request
-/// (pure heuristics ignore it). Mirrors `maxsat::Strategy` without a
-/// dependency on the engine crate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Let the engine pick per solver call from the built instance's
-    /// features: objectives dominated by weighted softs (fidelity mode)
-    /// run the stratified core-guided search, everything else the
-    /// paper's linear search. Unweighted requests therefore behave
-    /// exactly like [`SearchStrategy::Linear`].
-    #[default]
-    Auto,
-    /// Model-improving linear SAT-UNSAT search (the paper's behaviour).
-    Linear,
-    /// OLL-style core-guided lower-bounding search.
-    CoreGuided,
-    /// Race both strategies; the first proof wins and cancels its peer.
-    Race,
-}
-
-/// How many diversified SAT workers a request may race per solver call.
-///
-/// The width is resolved when the router acts on the request, not when the
-/// router is built — so one process can serve wide interactive requests
-/// and narrow ones from an already-saturated suite sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// One worker, no racing (deterministic wall-clock, least overhead).
-    #[default]
-    Serial,
-    /// Size the portfolio from [`std::thread::available_parallelism`],
-    /// divided by the `SATMAP_JOBS` worker count when an experiment sweep
-    /// already saturates the cores, and clamped to [`MAX_AUTO_WIDTH`].
-    Auto,
-    /// Exactly this many workers (clamped to at least 1).
-    Width(usize),
-}
-
-impl Parallelism {
-    /// The concrete worker count this hint resolves to right now.
-    pub fn resolve(&self) -> usize {
-        match *self {
-            Parallelism::Serial => 1,
-            Parallelism::Width(w) => w.max(1),
-            Parallelism::Auto => sat::auto_width(),
-        }
-    }
-
-    /// The worker count for a solver call on an instance of
-    /// `instance_size` variables + clauses. `Auto` degrades to width 1
-    /// below [`sat::DEFAULT_MIN_INSTANCE_SIZE`]: at fig3 scale a width-4
-    /// race measured ~1.4x *slower* than serial (thread spawn and clone
-    /// overhead dominate), so small instances solve inline. An explicit
-    /// [`Parallelism::Width`] always forces its width — the override tests
-    /// and benches use to race small instances anyway.
-    pub fn resolve_for_instance(&self, instance_size: usize) -> usize {
-        match *self {
-            Parallelism::Serial => 1,
-            Parallelism::Width(w) => w.max(1),
-            Parallelism::Auto => {
-                if instance_size < sat::DEFAULT_MIN_INSTANCE_SIZE {
-                    1
-                } else {
-                    sat::auto_width()
-                }
-            }
-        }
-    }
-
-    /// Automatic width when `jobs` route calls run concurrently: the
-    /// available cores split across jobs, clamped to `1..=`
-    /// [`MAX_AUTO_WIDTH`] (see [`sat::auto_width_for_jobs`]).
-    pub fn auto_for_jobs(jobs: usize) -> usize {
-        sat::auto_width_for_jobs(jobs)
-    }
-}
+pub use sat::{Parallelism, SearchStrategy};
 
 /// Declares that the request's circuit is `prefix ; C ; C ; … ; C`: a
 /// gate prefix followed by `cycles` identical copies of a subcircuit
@@ -922,7 +846,7 @@ mod tests {
         assert_eq!(req.slicing(), Slicing::Sliced(5));
         assert_eq!(req.swaps_per_gap(), Some(2));
         assert_eq!(req.totalizer_units(), Some(100));
-        assert_eq!(req.parallelism().resolve(), 3);
+        assert_eq!(req.parallelism(), Parallelism::Width(3));
         assert_eq!(
             req.budget().remaining_time(),
             Some(Duration::from_secs(1)),
@@ -1022,16 +946,35 @@ mod tests {
         }
     }
 
+    /// The total worker count the engine's dispatcher resolves a
+    /// request's parallelism hint to, on an instance of `hardness`
+    /// variables.
+    fn resolved_width(req: &RouteRequest<'_>, hardness: usize) -> usize {
+        let features = maxsat::InstanceFeatures {
+            vars: hardness,
+            ..Default::default()
+        };
+        maxsat::dispatch::plan(&features, req.strategy(), req.parallelism()).total_width()
+    }
+
     #[test]
     fn parallelism_resolution_is_bounded() {
-        assert_eq!(Parallelism::Serial.resolve(), 1);
-        assert_eq!(Parallelism::Width(0).resolve(), 1);
-        assert_eq!(Parallelism::Width(5).resolve(), 5);
-        let auto = Parallelism::Auto.resolve();
-        assert!((1..=MAX_AUTO_WIDTH).contains(&auto));
-        // Saturating the machine with jobs shrinks the portfolio.
-        assert_eq!(Parallelism::auto_for_jobs(usize::MAX), 1);
-        assert!(Parallelism::auto_for_jobs(1) >= Parallelism::auto_for_jobs(4));
+        let c = fig3();
+        let g = arch::devices::tokyo();
+        let req = |p| RouteRequest::new(&c, &g).with_parallelism(p);
+        assert_eq!(RouteRequest::new(&c, &g).parallelism(), Parallelism::Serial);
+        for hardness in [0, sat::DEFAULT_MIN_INSTANCE_SIZE, usize::MAX / 2] {
+            assert_eq!(resolved_width(&req(Parallelism::Serial), hardness), 1);
+            assert_eq!(resolved_width(&req(Parallelism::Width(0)), hardness), 1);
+            assert_eq!(resolved_width(&req(Parallelism::Width(5)), hardness), 5);
+            let auto = resolved_width(&req(Parallelism::Auto), hardness);
+            assert!((1..=sat::MAX_AUTO_WIDTH).contains(&auto), "{auto}");
+        }
+        // The widest automatic plan is the machine-sized portfolio.
+        assert_eq!(
+            resolved_width(&req(Parallelism::Auto), usize::MAX / 2),
+            sat::auto_width()
+        );
     }
 
     #[test]
@@ -1255,17 +1198,18 @@ mod tests {
 
     #[test]
     fn auto_parallelism_degrades_to_serial_on_small_instances() {
-        assert_eq!(Parallelism::Auto.resolve_for_instance(0), 1);
+        let c = fig3();
+        let g = arch::devices::tokyo();
+        let req = |p| RouteRequest::new(&c, &g).with_parallelism(p);
+        let auto = req(Parallelism::Auto);
+        assert_eq!(resolved_width(&auto, 0), 1);
+        assert_eq!(resolved_width(&auto, sat::DEFAULT_MIN_INSTANCE_SIZE - 1), 1);
         assert_eq!(
-            Parallelism::Auto.resolve_for_instance(sat::DEFAULT_MIN_INSTANCE_SIZE - 1),
-            1
-        );
-        assert_eq!(
-            Parallelism::Auto.resolve_for_instance(sat::DEFAULT_MIN_INSTANCE_SIZE),
-            Parallelism::Auto.resolve()
+            resolved_width(&auto, sat::DEFAULT_MIN_INSTANCE_SIZE),
+            sat::auto_width().min(2)
         );
         // An explicit width overrides the gate (the test escape hatch).
-        assert_eq!(Parallelism::Width(4).resolve_for_instance(0), 4);
-        assert_eq!(Parallelism::Serial.resolve_for_instance(usize::MAX), 1);
+        assert_eq!(resolved_width(&req(Parallelism::Width(4)), 0), 4);
+        assert_eq!(resolved_width(&req(Parallelism::Serial), usize::MAX / 2), 1);
     }
 }

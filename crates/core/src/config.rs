@@ -6,45 +6,8 @@
 //! request ([`circuit::RouteSpec`]), so one router instance serves
 //! different budgets/objectives call by call.
 
-use circuit::{Objective, Parallelism, RouteRequest, SearchStrategy, Slicing};
+use circuit::{Objective, RouteRequest, Slicing};
 use sat::ResourceBudget;
-
-/// Maps the request-level strategy knob onto the MaxSAT engine's enum
-/// (the `circuit` crate cannot name `maxsat` types). `Auto` — the
-/// request default — resolves from the instance features per solver
-/// call: an objective dominated by weighted softs (fidelity mode) runs
-/// the stratified core-guided search (see
-/// [`maxsat::dispatch::prefers_core`]), everything else — in particular
-/// every unweighted swap-count request — runs the paper's linear
-/// search, byte-identical to an explicit [`SearchStrategy::Linear`].
-pub(crate) fn engine_strategy(
-    strategy: SearchStrategy,
-    features: &maxsat::InstanceFeatures,
-) -> maxsat::Strategy {
-    match strategy {
-        SearchStrategy::Linear => maxsat::Strategy::LinearSatUnsat,
-        SearchStrategy::CoreGuided => maxsat::Strategy::CoreGuided,
-        SearchStrategy::Race => maxsat::Strategy::Race,
-        SearchStrategy::Auto => {
-            if maxsat::dispatch::prefers_core(features) {
-                maxsat::Strategy::CoreGuided
-            } else {
-                maxsat::Strategy::LinearSatUnsat
-            }
-        }
-    }
-}
-
-/// Maps the request-level parallelism knob onto the dispatcher's width
-/// hint: `Serial` and `Width(n)` pin the total worker count, `Auto` lets
-/// the instance features decide.
-pub(crate) fn width_hint(parallelism: Parallelism) -> maxsat::WidthHint {
-    match parallelism {
-        Parallelism::Serial => maxsat::WidthHint::Forced(1),
-        Parallelism::Width(n) => maxsat::WidthHint::Forced(n.max(1)),
-        Parallelism::Auto => maxsat::WidthHint::Auto,
-    }
-}
 
 /// Construction-time defaults of the SATMAP router.
 ///
@@ -132,19 +95,13 @@ impl SatMapConfig {
             swaps_per_gap: request.swaps_per_gap().unwrap_or(self.swaps_per_gap).max(1),
             backtrack_limit: self.backtrack_limit,
             objective: request.objective().clone(),
-            // Strategy and portfolio width are left featureless here: the
-            // instance-feature dispatcher resolves both into a concrete
-            // worker plan per solver call (see [`Resolved::options_for`]),
-            // so `Auto` parallelism can solve small encodings inline and
-            // `Auto` strategy can pick core-guided for weighted instances.
+            // The parallelism and strategy hints ride unchanged into the
+            // engine, whose dispatcher resolves them per solver call
+            // against the instance it is handed.
             options: maxsat::SolveOptions::default()
                 .with_totalizer_units(request.totalizer_units().unwrap_or(self.totalizer_units))
-                .with_strategy(engine_strategy(
-                    request.strategy(),
-                    &maxsat::InstanceFeatures::default(),
-                )),
-            strategy: request.strategy(),
-            parallelism: request.parallelism(),
+                .with_parallelism(request.parallelism())
+                .with_strategy(request.strategy()),
             budget: request.budget().clone(),
         }
     }
@@ -159,47 +116,13 @@ pub(crate) struct Resolved {
     pub backtrack_limit: usize,
     pub objective: Objective,
     pub options: maxsat::SolveOptions,
-    /// The request-level strategy knob, kept alongside the featureless
-    /// `options.strategy` so [`Resolved::options_for`] can re-resolve
-    /// `Auto` once the instance features are known.
-    pub strategy: SearchStrategy,
-    pub parallelism: Parallelism,
     pub budget: ResourceBudget,
-}
-
-impl Resolved {
-    /// The engine options for one solver call: the shared knobs plus the
-    /// concrete worker plan the instance-feature dispatcher resolves the
-    /// parallelism hint and strategy to (see [`maxsat::dispatch`]).
-    ///
-    /// `Serial` and `Width(n)` pin the total worker count; `Auto` lets
-    /// the features decide. The plan rides along in the options so the
-    /// engine executes exactly what was dispatched (and stamps it into
-    /// the telemetry).
-    pub fn options_for(&self, features: maxsat::InstanceFeatures) -> maxsat::SolveOptions {
-        let strategy = engine_strategy(self.strategy, &features);
-        let plan = maxsat::dispatch::plan(&features, strategy, width_hint(self.parallelism));
-        self.options
-            .with_strategy(strategy)
-            .with_portfolio_width(plan.total_width())
-            .with_dispatch(plan)
-    }
-
-    /// [`Resolved::options_for`] when only the instance size (variables +
-    /// clauses) is known — the features carry just that signal.
-    #[cfg(test)]
-    pub fn options_for_instance(&self, instance_size: usize) -> maxsat::SolveOptions {
-        self.options_for(maxsat::InstanceFeatures {
-            vars: instance_size,
-            ..maxsat::InstanceFeatures::default()
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use circuit::{Circuit, Parallelism};
+    use circuit::{Circuit, Parallelism, SearchStrategy};
     use std::time::Duration;
 
     #[test]
@@ -231,8 +154,8 @@ mod tests {
         let plain = config.resolve(&RouteRequest::new(&c, &g));
         assert_eq!(plain.slice_size, Some(25));
         assert_eq!(plain.swaps_per_gap, 1);
-        assert_eq!(plain.parallelism, Parallelism::Serial);
-        assert_eq!(plain.options_for_instance(10).portfolio_width, Some(1));
+        assert_eq!(plain.options.parallelism, Parallelism::Serial);
+        assert_eq!(plain.options.strategy, SearchStrategy::Auto);
         assert_eq!(plain.options.totalizer_units, 4000);
         assert!(!plain.budget.is_limited());
 
@@ -246,29 +169,38 @@ mod tests {
         let r = config.resolve(&req);
         assert_eq!(r.slice_size, None);
         assert_eq!(r.swaps_per_gap, 2);
-        assert_eq!(r.parallelism, Parallelism::Width(3));
+        // Both hints pass through unresolved: the engine's dispatcher is
+        // the one place they become a worker plan.
+        assert_eq!(r.options.parallelism, Parallelism::Width(3));
+        assert_eq!(r.options.strategy, SearchStrategy::Race);
         assert_eq!(r.options.totalizer_units, 7);
-        // An explicit width forces itself regardless of instance size.
-        assert_eq!(r.options_for_instance(10).portfolio_width, Some(3));
-        assert_eq!(r.options.strategy, maxsat::Strategy::Race);
         assert_eq!(r.budget.remaining_time(), Some(Duration::from_secs(3)));
+    }
+
+    /// The dispatcher's (linear, core-guided) worker split for the
+    /// request's resolved options on `features`.
+    fn split(r: &Resolved, features: &maxsat::InstanceFeatures) -> (usize, usize) {
+        let p = maxsat::dispatch::plan(features, r.options.strategy, r.options.parallelism);
+        (p.linear_width, p.core_width)
     }
 
     #[test]
     fn strategy_knob_maps_onto_engine_enum() {
+        let c = Circuit::new(2);
+        let g = arch::devices::linear(2);
+        let config = SatMapConfig::default();
         let plain = maxsat::InstanceFeatures::default();
-        assert_eq!(
-            engine_strategy(SearchStrategy::Linear, &plain),
-            maxsat::Strategy::LinearSatUnsat
-        );
-        assert_eq!(
-            engine_strategy(SearchStrategy::CoreGuided, &plain),
-            maxsat::Strategy::CoreGuided
-        );
-        assert_eq!(
-            engine_strategy(SearchStrategy::Race, &plain),
-            maxsat::Strategy::Race
-        );
+        let resolve = |s| config.resolve(&RouteRequest::new(&c, &g).with_strategy(s));
+        for s in [
+            SearchStrategy::Linear,
+            SearchStrategy::CoreGuided,
+            SearchStrategy::Race,
+        ] {
+            assert_eq!(resolve(s).options.strategy, s);
+        }
+        assert_eq!(split(&resolve(SearchStrategy::Linear), &plain), (1, 0));
+        assert_eq!(split(&resolve(SearchStrategy::CoreGuided), &plain), (0, 1));
+        assert_eq!(split(&resolve(SearchStrategy::Race), &plain), (1, 1));
         assert_eq!(SearchStrategy::default(), SearchStrategy::Auto);
     }
 
@@ -277,28 +209,26 @@ mod tests {
         // Unweighted (swap-count) instances keep the paper's linear
         // search; weighted-soft-dominated (fidelity) instances get the
         // stratified core-guided search.
+        let c = Circuit::new(2);
+        let g = arch::devices::linear(2);
+        let config = SatMapConfig::default();
+        let auto = config.resolve(&RouteRequest::new(&c, &g));
+        assert_eq!(auto.options.strategy, SearchStrategy::Auto);
         let unweighted = maxsat::InstanceFeatures {
             soft_clauses: 10,
             weighted_softs: 0,
             ..maxsat::InstanceFeatures::default()
         };
-        assert_eq!(
-            engine_strategy(SearchStrategy::Auto, &unweighted),
-            maxsat::Strategy::LinearSatUnsat
-        );
+        assert_eq!(split(&auto, &unweighted), (1, 0));
         let weighted = maxsat::InstanceFeatures {
             soft_clauses: 10,
             weighted_softs: 9,
             ..maxsat::InstanceFeatures::default()
         };
-        assert_eq!(
-            engine_strategy(SearchStrategy::Auto, &weighted),
-            maxsat::Strategy::CoreGuided
-        );
+        assert_eq!(split(&auto, &weighted), (0, 1));
         // An explicit knob is never second-guessed by the features.
-        assert_eq!(
-            engine_strategy(SearchStrategy::Linear, &weighted),
-            maxsat::Strategy::LinearSatUnsat
-        );
+        let linear =
+            config.resolve(&RouteRequest::new(&c, &g).with_strategy(SearchStrategy::Linear));
+        assert_eq!(split(&linear, &weighted), (1, 0));
     }
 }

@@ -61,6 +61,7 @@ pub use solver::{encoding_estimate, plan_ceiling, planned_width, SatMap, ENCODIN
 /// multiple differently-configured CDCL workers and takes the first
 /// definitive answer (see [`sat::PortfolioBackend`]). The width is chosen
 /// per request from [`circuit::Parallelism`] — `Serial` solves inline,
-/// `Auto` sizes from the machine. Costs match [`SatMap`] — only the
-/// wall-clock route to them differs.
+/// `Auto` lets the engine's dispatcher size the plan from each instance.
+/// Proven costs match [`SatMap`]; sliced routing runs one worker per
+/// slice, so its answers match exactly.
 pub type PortfolioSatMap = SatMap<sat::PortfolioBackend<sat::DefaultBackend>>;

@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 
 use arch::ConnectivityGraph;
 use circuit::{
-    Circuit, RouteError, RouteOutcome, RouteQuality, RouteRequest, RoutedCircuit, RoutedOp, Router,
+    Circuit, Parallelism, RouteError, RouteOutcome, RouteQuality, RouteRequest, RoutedCircuit,
+    RoutedOp, Router,
 };
 use maxsat::{MaxSatSession, MaxSatStatus};
 use sat::{DefaultBackend, ResourceBudget, SatBackend, SolverTelemetry};
@@ -94,20 +95,14 @@ struct SliceState {
 /// How many slice encodings stay resident for backtracking.
 const ENCODING_WINDOW: usize = 4;
 
-/// The dispatch features of a built encoding: the exact WCNF counts the
-/// instance-feature dispatcher sizes the worker plan from (see
-/// [`maxsat::dispatch`]).
-pub(crate) fn instance_features(enc: &QmrEncoding) -> maxsat::InstanceFeatures {
-    maxsat::InstanceFeatures::of(enc.instance())
-}
-
 /// The total worker count the instance-feature dispatcher would resolve
 /// for `circuit` on `graph` *before* any encoding is built: the features
 /// carry only the O(1) signals (device size and [`encoding_estimate`]),
 /// so admission control can price a request's parallelism without paying
-/// the encode cost. The post-encode dispatch re-decides from the exact
-/// counts, but never exceeds a forced hint, so this is a safe multiplier
-/// for capacity planning.
+/// the encode cost. It is the same [`maxsat::dispatch::plan`] the engine
+/// runs on the built instance; that post-encode call re-decides from the
+/// exact counts, but never exceeds a forced hint, so this is a safe
+/// multiplier for capacity planning.
 pub fn planned_width(
     circuit: &Circuit,
     graph: &ConnectivityGraph,
@@ -118,12 +113,7 @@ pub fn planned_width(
     let features = maxsat::InstanceFeatures::default()
         .with_device(graph.num_qubits())
         .with_encoding_estimate(encoding_estimate(circuit, graph, swaps_per_gap));
-    maxsat::dispatch::plan(
-        &features,
-        crate::config::engine_strategy(strategy, &features),
-        crate::config::width_hint(parallelism),
-    )
-    .total_width()
+    maxsat::dispatch::plan(&features, strategy, parallelism).total_width()
 }
 
 /// The widest worker plan the dispatcher can resolve under `parallelism`
@@ -135,12 +125,7 @@ pub fn plan_ceiling(parallelism: circuit::Parallelism, strategy: circuit::Search
         vars: maxsat::dispatch::MEDIUM_INSTANCE as usize,
         ..maxsat::InstanceFeatures::default()
     };
-    maxsat::dispatch::plan(
-        &hardest,
-        crate::config::engine_strategy(strategy, &hardest),
-        crate::config::width_hint(parallelism),
-    )
-    .total_width()
+    maxsat::dispatch::plan(&hardest, strategy, parallelism).total_width()
 }
 
 /// Ceiling on [`encoding_estimate`] above which a *budgeted* request is
@@ -255,6 +240,21 @@ pub(crate) fn stamp_quality(outcome: RouteOutcome, proof: &Proof) -> RouteOutcom
     }
 }
 
+/// Stamps the worker plan the engine actually ran: `portfolio_width` is
+/// the dispatched width (peak across the call tree) and `strategy` the
+/// strategy that ran (see [`maxsat::dispatch::strategy_ran`]). Outcomes
+/// that never reached a solver call (validation errors, the memory
+/// guard) ran no plan and carry neither.
+pub(crate) fn stamp_plan(outcome: RouteOutcome) -> RouteOutcome {
+    let telemetry = *outcome.telemetry();
+    let Some(strategy) = maxsat::dispatch::strategy_ran(&telemetry) else {
+        return outcome;
+    };
+    outcome
+        .with_diagnostic("portfolio_width", telemetry.dispatch_width)
+        .with_diagnostic("strategy", strategy)
+}
+
 /// Records a solved slice and evicts encodings outside the backtracking
 /// window (shared by the forward path and the deepening fallback).
 fn push_solved(solved: &mut Vec<SliceState>, state: SliceState, telemetry: &mut SolverTelemetry) {
@@ -282,8 +282,8 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     }
 
     /// One MaxSAT call on the generic backend, charging effort to
-    /// `telemetry`. The portfolio width is resolved against the instance
-    /// size, so `Parallelism::Auto` solves small encodings inline.
+    /// `telemetry`. The engine resolves the request's hints against the
+    /// instance, so `Parallelism::Auto` solves small encodings inline.
     fn solve_instance(
         &self,
         enc: &QmrEncoding,
@@ -291,8 +291,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         budget: &ResourceBudget,
         telemetry: &mut SolverTelemetry,
     ) -> maxsat::MaxSatOutcome {
-        let options = p.options_for(instance_features(enc));
-        let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
+        let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &p.options);
         telemetry.absorb(&out.telemetry);
         out
     }
@@ -451,9 +450,8 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                 );
             }
             let budget = p.budget.arm();
-            let options = p.options_for(instance_features(artifact.encoding()));
             let out =
-                maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, session);
+                maxsat::solve_with_session::<B>(artifact.instance(), &budget, &p.options, session);
             telemetry.absorb(&out.telemetry);
             proof.observe(&out, budget.expired());
             (
@@ -506,9 +504,8 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             },
         };
         let budget = p.budget.arm();
-        let options = p.options_for(instance_features(artifact.encoding()));
         let out =
-            maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, &mut session);
+            maxsat::solve_with_session::<B>(artifact.instance(), &budget, &p.options, &mut session);
         telemetry.absorb(&out.telemetry);
         let mut proof = Proof::new();
         proof.observe(&out, budget.expired());
@@ -520,23 +517,15 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     }
 
     /// The diagnostics every SATMAP outcome carries, regardless of which
-    /// entry point produced it. The reported width is the one the
-    /// dispatcher actually resolved (peak across the call tree); outcomes
-    /// that never reached a solver call (validation errors, admission
-    /// shedding) fall back to the request-level hint.
+    /// entry point produced it.
     fn stamp_diagnostics(&self, outcome: RouteOutcome, p: &Resolved) -> RouteOutcome {
-        let width = match outcome.telemetry().dispatch_width {
-            0 => p.parallelism.resolve(),
-            w => w as usize,
-        };
-        outcome
+        let outcome = outcome
             .with_diagnostic(
                 "slice_size",
                 p.slice_size.map_or("none".into(), |s| s.to_string()),
             )
-            .with_diagnostic("swaps_per_gap", p.swaps_per_gap)
-            .with_diagnostic("portfolio_width", width)
-            .with_diagnostic("strategy", p.options.strategy.name())
+            .with_diagnostic("swaps_per_gap", p.swaps_per_gap);
+        stamp_plan(outcome)
     }
 
     /// Section V: slice, solve each slice pinned to the previous final map,
@@ -545,6 +534,12 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     /// deepening*: rebuild the stuck slice with more swap slots before its
     /// first gate, which can always absorb a bad entry map and therefore
     /// keeps the relaxation complete.
+    ///
+    /// Every slice solve (forward, backtracking re-solve and deepening)
+    /// runs one worker, whatever the request's width hint. The next slice
+    /// is pinned to this slice's final map, so a slice model that
+    /// depended on which racing worker won would change the rest of the
+    /// route; a serial solve returns the same model on every run.
     #[allow(clippy::too_many_arguments)]
     fn route_sliced(
         &self,
@@ -556,6 +551,11 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         telemetry: &mut SolverTelemetry,
         proof: &mut Proof,
     ) -> Result<RoutedCircuit, RouteError> {
+        let serial = Resolved {
+            options: p.options.with_parallelism(Parallelism::Serial),
+            ..p.clone()
+        };
+        let p = &serial;
         let slices = circuit.slices(slice_size);
         let n = p.swaps_per_gap;
 
@@ -661,7 +661,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                         let retry = maxsat::solve_with_options::<B>(
                             prev_enc.instance(),
                             budget,
-                            &p.options_for(instance_features(prev_enc)),
+                            &p.options,
                         );
                         telemetry.absorb(&retry.telemetry);
                         proof.observe(&retry, budget.expired());
@@ -834,8 +834,67 @@ mod tests {
                 size,
                 sat::DEFAULT_MIN_INSTANCE_SIZE
             );
-            assert_eq!(circuit::Parallelism::Auto.resolve_for_instance(size), 1);
+            let plan = maxsat::dispatch::plan(
+                &maxsat::InstanceFeatures::of(artifact.instance()),
+                circuit::SearchStrategy::Auto,
+                Parallelism::Auto,
+            );
+            assert_eq!(plan.total_width(), 1);
+            assert!(!plan.sharing);
         }
+    }
+
+    #[test]
+    fn planned_width_is_the_engines_pre_encode_plan() {
+        // Admission and routebench's `auto` pool read `planned_width`, so
+        // it must stay the dispatcher's plan on pre-encode features, with
+        // fixed values: fig3 is small (width 1) and 4gt11_82 is a
+        // medium-tier suite circuit (at most two workers).
+        use circuit::SearchStrategy;
+        let g = arch::devices::tokyo();
+        let (small, _) = fig3();
+        let medium = circuit::suite::suite()
+            .into_iter()
+            .find(|b| b.name == "4gt11_82")
+            .expect("in the suite")
+            .circuit;
+        for (c, pinned) in [(&small, 1), (&medium, sat::auto_width().min(2))] {
+            let features = maxsat::InstanceFeatures::default()
+                .with_device(g.num_qubits())
+                .with_encoding_estimate(encoding_estimate(c, &g, 1));
+            for parallelism in [
+                Parallelism::Serial,
+                Parallelism::Auto,
+                Parallelism::Width(3),
+            ] {
+                for strategy in [
+                    SearchStrategy::Auto,
+                    SearchStrategy::Linear,
+                    SearchStrategy::CoreGuided,
+                    SearchStrategy::Race,
+                ] {
+                    assert_eq!(
+                        planned_width(c, &g, parallelism, strategy, 1),
+                        maxsat::dispatch::plan(&features, strategy, parallelism).total_width(),
+                        "{parallelism:?} {strategy:?}"
+                    );
+                }
+            }
+            let tier = maxsat::dispatch::plan(&features, SearchStrategy::Auto, Parallelism::Auto);
+            assert_eq!(
+                tier.hardness < maxsat::dispatch::SMALL_INSTANCE,
+                pinned == 1
+            );
+            assert_eq!(
+                planned_width(c, &g, Parallelism::Auto, SearchStrategy::Auto, 1),
+                pinned
+            );
+        }
+        assert_eq!(
+            plan_ceiling(Parallelism::Auto, SearchStrategy::Auto),
+            sat::auto_width()
+        );
+        assert_eq!(plan_ceiling(Parallelism::Serial, SearchStrategy::Auto), 1);
     }
 
     #[test]

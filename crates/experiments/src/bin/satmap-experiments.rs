@@ -18,45 +18,43 @@
 //! (append one JSON object per (benchmark, router) row — the same outcome
 //! schema `BENCH_satmap.json` embeds under `routes`).
 
-use experiments::questions;
+use experiments::{questions, runner};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut command: Option<String> = None;
+    let mut jobs: Option<usize> = None;
+    let parse_jobs = |n: &str| {
+        n.parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                eprintln!("--jobs requires a positive integer");
+                std::process::exit(2);
+            })
+    };
     while let Some(arg) = args.next() {
         if arg == "--jobs" || arg == "-j" {
-            let Some(n) = args
-                .next()
-                .filter(|n| n.parse::<usize>().is_ok_and(|n| n >= 1))
-            else {
-                eprintln!("--jobs requires a positive integer");
-                std::process::exit(2);
-            };
-            // `env_jobs()` is how the question runners read the setting.
-            std::env::set_var("SATMAP_JOBS", n);
+            jobs = Some(parse_jobs(&args.next().unwrap_or_default()));
         } else if let Some(n) = arg.strip_prefix("--jobs=") {
-            if n.parse::<usize>().is_ok_and(|n| n >= 1) {
-                std::env::set_var("SATMAP_JOBS", n);
-            } else {
-                eprintln!("--jobs requires a positive integer");
-                std::process::exit(2);
-            }
+            jobs = Some(parse_jobs(n));
         } else {
             command = Some(arg);
         }
     }
+    let jobs = jobs.unwrap_or_else(runner::env_jobs);
     let command = command.unwrap_or_else(|| "all".into());
     let run = |cmd: &str| match cmd {
-        "q1" => print!("{}", questions::q1(false)),
-        "q1-runtimes" => print!("{}", questions::q1(true)),
-        "q2" => print!("{}", questions::q2()),
-        "q3-local" => print!("{}", questions::q3_local()),
+        "q1" => print!("{}", questions::q1(false, jobs)),
+        "q1-runtimes" => print!("{}", questions::q1(true, jobs)),
+        "q2" => print!("{}", questions::q2(jobs)),
+        "q3-local" => print!("{}", questions::q3_local(jobs)),
         "q3-cyclic" => print!("{}", questions::q3_cyclic()),
-        "q3-breakdown" => print!("{}", questions::q3_breakdown()),
-        "q4" => print!("{}", questions::q4()),
-        "q5-time" => print!("{}", questions::q5(true)),
-        "q5-size" => print!("{}", questions::q5(false)),
-        "q6" => print!("{}", questions::q6()),
+        "q3-breakdown" => print!("{}", questions::q3_breakdown(jobs)),
+        "q4" => print!("{}", questions::q4(jobs)),
+        "q5-time" => print!("{}", questions::q5(true, jobs)),
+        "q5-size" => print!("{}", questions::q5(false, jobs)),
+        "q6" => print!("{}", questions::q6(jobs)),
         other => {
             eprintln!("unknown experiment '{other}'");
             std::process::exit(2);

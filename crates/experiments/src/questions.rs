@@ -4,7 +4,8 @@
 //! Every router is constructed by name through
 //! [`routers::RouterRegistry`] and dispatched as `Box<dyn Router>`; all
 //! per-run knobs (budget, objective, slicing, portfolio width) travel in
-//! the [`RouteSpec`] each sweep passes to [`run_suite`].
+//! the [`RouteSpec`] each sweep passes to [`run_suite`]. A runner's `jobs`
+//! argument is the sweep's worker-thread count and nothing else.
 
 use arch::{devices, NoiseModel};
 use circuit::suite::Benchmark;
@@ -12,7 +13,7 @@ use circuit::{Circuit, Objective, RepeatedStructure, RouteRequest, RouteSpec, Sl
 use routers::{BoxedRouter, RouterRegistry};
 
 use crate::runner::{
-    env_jobs, env_spec, env_suite, mean, row, run_suite, run_tool, solved_summary, total_telemetry,
+    env_spec, env_suite, mean, row, run_suite, run_tool, solved_summary, total_telemetry,
     RunOutcome,
 };
 
@@ -24,7 +25,7 @@ fn create(registry: &RouterRegistry, name: &str) -> BoxedRouter {
 
 /// **Q1 / Fig. 1 / Table I / Figs. 10–11** — constraint-based tools:
 /// benchmarks solved, largest circuit solved, and per-benchmark runtimes.
-pub fn q1(runtimes: bool) -> String {
+pub fn q1(runtimes: bool, jobs: usize) -> String {
     let spec = env_spec();
     let suite = env_suite();
     let graph = devices::tokyo();
@@ -41,7 +42,6 @@ pub fn q1(runtimes: bool) -> String {
         ("TB-OLSQ", create(&registry, "olsq-tb")),
         ("EX-MQT", create(&registry, "olsq")),
     ];
-    let jobs = env_jobs();
     let mut all: Vec<(&str, Vec<RunOutcome>)> = Vec::new();
     for (name, tool) in &tools {
         all.push((name, run_suite(&**tool, &suite, &graph, &spec, jobs)));
@@ -176,13 +176,13 @@ fn cost_ratio_block(
 
 /// **Q2 / Fig. 12** — cost ratio of each heuristic vs SATMAP on the solved
 /// subset, plus the fraction of zero-added-gate benchmarks.
-pub fn q2() -> String {
+pub fn q2(jobs: usize) -> String {
     let spec = env_spec();
     let suite = env_suite();
     let graph = devices::tokyo();
     let registry = RouterRegistry::standard();
     let satmap = create(&registry, "satmap");
-    let satmap_out = run_suite(&*satmap, &suite, &graph, &spec, env_jobs());
+    let satmap_out = run_suite(&*satmap, &suite, &graph, &spec, jobs);
     let solved: Vec<Benchmark> = suite
         .iter()
         .zip(&satmap_out)
@@ -210,7 +210,7 @@ pub fn q2() -> String {
         ("TKET", create(&registry, "tket")),
     ];
     for (name, h) in &heuristics {
-        let h_out = run_suite(&**h, &solved, &graph, &spec, env_jobs());
+        let h_out = run_suite(&**h, &solved, &graph, &spec, jobs);
         let h_zero = h_out.iter().filter(|o| o.cost == Some(0)).count();
         let (text, _) = cost_ratio_block(name, &h_out, &satmap_solved);
         out.push_str(&text);
@@ -226,7 +226,7 @@ pub fn q2() -> String {
 /// **Q3 local / Fig. 2 / Table II / Fig. 13** — slice-size sweep vs
 /// NL-SATMAP, driven entirely through per-request [`Slicing`] overrides on
 /// the same registry router.
-pub fn q3_local() -> String {
+pub fn q3_local(jobs: usize) -> String {
     let spec = env_spec();
     let suite = env_suite();
     let graph = devices::tokyo();
@@ -245,7 +245,7 @@ pub fn q3_local() -> String {
 
     let satmap = create(&registry, "satmap");
     let nl = create(&registry, "nl-satmap");
-    let nl_out = run_suite(&*nl, &suite, &graph, &spec, env_jobs());
+    let nl_out = run_suite(&*nl, &suite, &graph, &spec, jobs);
     let (nl_solved, nl_largest) = solved_summary(&nl_out);
 
     for slice in [10usize, 25, 50, 100] {
@@ -253,7 +253,7 @@ pub fn q3_local() -> String {
             slicing: Slicing::Sliced(slice),
             ..spec.clone()
         };
-        let outcomes = run_suite(&*satmap, &suite, &graph, &sliced_spec, env_jobs());
+        let outcomes = run_suite(&*satmap, &suite, &graph, &sliced_spec, jobs);
         let (solved, largest) = solved_summary(&outcomes);
         // Fig. 13: cost ratio sliced/NL on co-solved benchmarks.
         let ratios: Vec<f64> = outcomes
@@ -363,7 +363,7 @@ pub fn q3_cyclic() -> String {
 
 /// **Q3 breakdown / Table III** — TB-OLSQ vs NL-SATMAP vs SATMAP on the
 /// main set plus CYC-SATMAP on QAOA.
-pub fn q3_breakdown() -> String {
+pub fn q3_breakdown(jobs: usize) -> String {
     let spec = env_spec();
     let suite = env_suite();
     let graph = devices::tokyo();
@@ -402,8 +402,8 @@ pub fn q3_breakdown() -> String {
         ("SATMAP", create(&registry, "satmap")),
     ];
     for (name, tool) in &tools {
-        let main = run_suite(&**tool, &suite, &graph, &spec, env_jobs());
-        let qa = run_suite(&**tool, &qaoa_benches, &graph, &spec, env_jobs());
+        let main = run_suite(&**tool, &suite, &graph, &spec, jobs);
+        let qa = run_suite(&**tool, &qaoa_benches, &graph, &spec, jobs);
         let (ms, ml) = solved_summary(&main);
         let (qs, ql) = solved_summary(&qa);
         out.push_str(&row(&[
@@ -443,7 +443,7 @@ pub fn q3_breakdown() -> String {
 
 /// **Q4 / Fig. 14** — architecture variation: TKET/SATMAP cost ratio on
 /// Tokyo+, Tokyo, Tokyo−.
-pub fn q4() -> String {
+pub fn q4(jobs: usize) -> String {
     let spec = env_spec();
     let suite = env_suite();
     let registry = RouterRegistry::standard();
@@ -458,7 +458,7 @@ pub fn q4() -> String {
         devices::tokyo(),
         devices::tokyo_minus(),
     ] {
-        let satmap_out = run_suite(&*satmap, &suite, &graph, &spec, env_jobs());
+        let satmap_out = run_suite(&*satmap, &suite, &graph, &spec, jobs);
         let solved: Vec<Benchmark> = suite
             .iter()
             .zip(&satmap_out)
@@ -466,7 +466,7 @@ pub fn q4() -> String {
             .map(|(b, _)| b.clone())
             .collect();
         let sm: Vec<RunOutcome> = satmap_out.into_iter().filter(|o| o.solved()).collect();
-        let tk = run_suite(&*tket, &solved, &graph, &spec, env_jobs());
+        let tk = run_suite(&*tket, &solved, &graph, &spec, jobs);
         let (text, ratios) =
             cost_ratio_block(&format!("TKET/SATMAP on {}", graph.name()), &tk, &sm);
         out.push_str(&text);
@@ -486,7 +486,7 @@ pub fn q4() -> String {
 
 /// **Q5 / Figs. 15–16** — scalability vs optimality: time-budget sweep and
 /// cost ratio vs circuit size.
-pub fn q5(time_sweep: bool) -> String {
+pub fn q5(time_sweep: bool, jobs: usize) -> String {
     let suite = env_suite();
     let graph = devices::tokyo();
     let registry = RouterRegistry::standard();
@@ -497,7 +497,7 @@ pub fn q5(time_sweep: bool) -> String {
         // mirroring the paper's 100..7200 s sweep around 1800 s.
         let base_spec = env_spec();
         let base = base_spec.budget.remaining_time().unwrap_or_default();
-        let baseline_out = run_suite(&*satmap, &suite, &graph, &base_spec, env_jobs());
+        let baseline_out = run_suite(&*satmap, &suite, &graph, &base_spec, jobs);
         out.push_str(&format!(
             "Q5 (Fig. 15): cost ratio vs time budget (baseline {base:?})\n"
         ));
@@ -514,7 +514,7 @@ pub fn q5(time_sweep: bool) -> String {
                 budget: budget.into(),
                 ..base_spec.clone()
             };
-            let outcomes = run_suite(&*satmap, &suite, &graph, &spec, env_jobs());
+            let outcomes = run_suite(&*satmap, &suite, &graph, &spec, jobs);
             let (solved, largest) = solved_summary(&outcomes);
             let ratios: Vec<f64> = outcomes
                 .iter()
@@ -558,14 +558,14 @@ pub fn q5(time_sweep: bool) -> String {
                 .filter(|b| (lo..hi).contains(&b.circuit.num_two_qubit_gates()))
                 .cloned()
                 .collect();
-            let sm_out = run_suite(&*satmap, &bin, &graph, &spec, env_jobs());
+            let sm_out = run_suite(&*satmap, &bin, &graph, &spec, jobs);
             let solved: Vec<Benchmark> = bin
                 .iter()
                 .zip(&sm_out)
                 .filter(|(_, o)| o.solved())
                 .map(|(b, _)| b.clone())
                 .collect();
-            let tk_out = run_suite(&*tket, &solved, &graph, &spec, env_jobs());
+            let tk_out = run_suite(&*tket, &solved, &graph, &spec, jobs);
             let mut ratios = Vec::new();
             for (s, t) in sm_out.iter().filter(|o| o.solved()).zip(&tk_out) {
                 if let (Some(tc), Some(sc)) = (t.cost, s.cost) {
@@ -591,7 +591,7 @@ pub fn q5(time_sweep: bool) -> String {
 /// fidelity-objective SATMAP vs the TB-OLSQ analogue under the same
 /// objective class. The objective is a property of the *request*, so the
 /// same registry router serves both modes.
-pub fn q6() -> String {
+pub fn q6(jobs: usize) -> String {
     let spec = env_spec();
     let suite = env_suite();
     let graph = devices::tokyo();
@@ -609,8 +609,8 @@ pub fn q6() -> String {
         ..spec.clone()
     };
 
-    let sm_out = run_suite(&*satmap, &suite, &graph, &fidelity_spec, env_jobs());
-    let tb_out = run_suite(&*tb, &suite, &graph, &spec, env_jobs());
+    let sm_out = run_suite(&*satmap, &suite, &graph, &fidelity_spec, jobs);
+    let tb_out = run_suite(&*tb, &suite, &graph, &spec, jobs);
     let (sm_solved, sm_largest) = solved_summary(&sm_out);
     let (tb_solved, tb_largest) = solved_summary(&tb_out);
     out.push_str(&format!(
@@ -652,17 +652,17 @@ mod tests {
         let _guard = crate::runner::ENV_LOCK.lock().expect("env lock");
         std::env::set_var("SATMAP_BUDGET_MS", "200");
         std::env::set_var("SATMAP_SUITE_LIMIT", "4");
-        let q1_report = q1(false);
+        let q1_report = q1(false, 1);
         assert!(q1_report.contains("Table I"));
         assert!(
             q1_report.contains("Solver effort"),
             "telemetry must reach the experiment tables"
         );
-        let q2_report = q2();
+        let q2_report = q2(1);
         assert!(q2_report.contains("SABRE"));
-        let q4_report = q4();
+        let q4_report = q4(1);
         assert!(q4_report.contains("tokyo+"));
-        let q6_report = q6();
+        let q6_report = q6(1);
         assert!(q6_report.contains("fidelity"));
         std::env::remove_var("SATMAP_BUDGET_MS");
         std::env::remove_var("SATMAP_SUITE_LIMIT");

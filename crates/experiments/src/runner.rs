@@ -58,7 +58,7 @@ pub fn env_budget() -> Duration {
 }
 
 /// Worker-thread count for suite sweeps, taken from `SATMAP_JOBS`
-/// (default 1; the `satmap-experiments --jobs N` flag sets it).
+/// (default 1): the environment alias of `satmap-experiments --jobs N`.
 pub fn env_jobs() -> usize {
     std::env::var("SATMAP_JOBS")
         .ok()
@@ -68,8 +68,8 @@ pub fn env_jobs() -> usize {
 }
 
 /// The sweep spec the experiment runners share: the `SATMAP_BUDGET_MS`
-/// per-instance budget and automatic portfolio sizing (resolved against
-/// the job count inside [`run_suite`]).
+/// per-instance budget and automatic portfolio sizing (resolved per
+/// solver call by the engine's dispatcher).
 pub fn env_spec() -> RouteSpec {
     RouteSpec {
         budget: env_budget().into(),
@@ -156,9 +156,9 @@ pub fn run_tool(
 /// Results land at their benchmark's index, so the output order — and
 /// therefore every table derived from it — is identical for any job count.
 /// Each [`run_tool`] call arms its own per-instance budget as a fresh
-/// request, so parallel workers neither share nor extend deadlines. A
-/// [`Parallelism::Auto`] spec resolves once against `jobs`, shrinking the
-/// per-request SAT portfolio when the sweep already saturates the cores.
+/// request, so parallel workers neither share nor extend deadlines. The
+/// spec passes through unchanged: `jobs` sets only the sweep's thread
+/// count, never a request's parallelism hint.
 ///
 /// When `SATMAP_ROWS_JSON` names a file, one JSON object per row is
 /// appended to it (NDJSON) in suite order — the same row schema
@@ -172,21 +172,16 @@ pub fn run_suite(
     jobs: usize,
 ) -> Vec<RunOutcome> {
     let jobs = jobs.clamp(1, suite.len().max(1));
-    let mut spec = spec.clone();
-    if spec.parallelism == Parallelism::Auto {
-        spec.parallelism = Parallelism::Width(Parallelism::auto_for_jobs(jobs));
-    }
     let outcomes: Vec<RunOutcome> = if jobs == 1 {
         suite
             .iter()
             .enumerate()
-            .map(|(i, b)| run_tool(router, b, graph, &spec_for_row(&spec, i)))
+            .map(|(i, b)| run_tool(router, b, graph, &spec_for_row(spec, i)))
             .collect()
     } else {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<RunOutcome>>> =
             suite.iter().map(|_| Mutex::new(None)).collect();
-        let spec = &spec;
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {

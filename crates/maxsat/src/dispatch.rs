@@ -1,20 +1,24 @@
-//! Instance-feature dispatch: right-sizing the solver portfolio per call.
+//! Instance-feature dispatch: the one place a request's hints become a
+//! worker plan.
 //!
-//! The bench data that motivated this module is unambiguous: the parallel
-//! machinery *loses* on easy instances (a width-4 portfolio is ~1.4x
-//! slower than serial on fig3, sharing trails no-sharing, and the strategy
-//! race trails plain linear search). Solver effort should be spent where
-//! the instance is hard — so instead of resolving `Parallelism::Auto` and
-//! `Strategy::Race` with fixed rules, the engine computes cheap
-//! [`InstanceFeatures`] and turns them into a concrete [`DispatchPlan`]:
-//! how many linear-search workers, how many core-guided workers, and
-//! whether they share clauses.
+//! A request carries two hints, [`Parallelism`] and [`SearchStrategy`].
+//! Every layer above the engine passes them down unchanged; [`plan`]
+//! turns them into a concrete [`DispatchPlan`] (how many linear-search
+//! workers, how many core-guided workers, and whether they share
+//! clauses) from cheap [`InstanceFeatures`]. The engine calls it with
+//! the features of the instance it is handed; capacity planners
+//! (`satmap::planned_width`, `satmap::plan_ceiling`) call it with
+//! pre-encode features.
 //!
-//! The tiers (measured in variables + hard clauses, or the O(1)
+//! The bench data behind the tiers: the parallel machinery *loses* on
+//! easy instances (a width-4 portfolio is ~1.4x slower than serial on
+//! fig3, sharing trails no-sharing, and the strategy race trails plain
+//! linear search), so `Auto` hints spend workers only where the instance
+//! is hard. The tiers (measured in variables + hard clauses, or the O(1)
 //! `encoding_estimate` before an encoding exists):
 //!
 //! * **small** (below [`SMALL_INSTANCE`], the same gate as
-//!   [`sat::SharingConfig::min_instance_size`]) — one linear worker, no
+//!   [`sat::SharingConfig::min_instance_size`]) — one worker, no
 //!   sharing, no race: the per-call overhead of threads and exchanges
 //!   exceeds the whole solve time.
 //! * **medium** (below [`MEDIUM_INSTANCE`]) — at most two workers; a race
@@ -23,11 +27,12 @@
 //! * **hard** — the full [`sat::auto_width`] worker budget, split across
 //!   a heterogeneous linear + core-guided portfolio.
 //!
-//! An explicit width ([`WidthHint::Forced`], from `Parallelism::Serial`
-//! or `Parallelism::Width`) is always honored — the dispatcher only
-//! decides the strategy mix and sharing for it.
+//! An explicit width (`Parallelism::Serial` or `Parallelism::Width`) is
+//! always honored — the dispatcher only decides the strategy mix and
+//! sharing for it.
 
-use crate::strategy::Strategy;
+use sat::{Parallelism, SearchStrategy};
+
 use crate::wcnf::WcnfInstance;
 
 /// Hardness (variables + hard clauses) below which a request is *small*:
@@ -127,21 +132,8 @@ impl InstanceFeatures {
     }
 }
 
-/// How the caller constrained the worker count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WidthHint {
-    /// No constraint: the dispatcher sizes the plan from the features
-    /// (`Parallelism::Auto`).
-    Auto,
-    /// An explicit total worker count (`Parallelism::Serial` is
-    /// `Forced(1)`, `Parallelism::Width(n)` is `Forced(n)`).
-    Forced(usize),
-}
-
 /// A concrete worker plan: how many workers run each strategy, and
-/// whether they cooperate through clause sharing. Produced by [`plan`]
-/// and carried into the engine via
-/// [`crate::SolveOptions::with_dispatch`].
+/// whether they cooperate through clause sharing. Produced by [`plan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchPlan {
     /// Workers running the model-improving linear SAT-UNSAT search.
@@ -162,13 +154,39 @@ impl DispatchPlan {
         self.linear_width + self.core_width
     }
 
+    /// The strategy this plan runs: a single group's strategy, or
+    /// [`SearchStrategy::Race`] for a mixed plan. Never `Auto`.
+    pub fn strategy(&self) -> SearchStrategy {
+        match (self.linear_width, self.core_width) {
+            (_, 0) => SearchStrategy::Linear,
+            (0, _) => SearchStrategy::CoreGuided,
+            _ => SearchStrategy::Race,
+        }
+    }
+
     /// Stable label of the strategy mix for telemetry rows.
     pub fn mix_label(&self) -> &'static str {
-        match (self.linear_width, self.core_width) {
-            (_, 0) => "linear",
-            (0, _) => "core-guided",
-            _ => "linear+core-guided",
+        match self.strategy() {
+            SearchStrategy::CoreGuided => "core-guided",
+            SearchStrategy::Race => MIXED_LABEL,
+            _ => "linear",
         }
+    }
+}
+
+/// The [`DispatchPlan::mix_label`] of a mixed (racing) plan.
+const MIXED_LABEL: &str = "linear+core-guided";
+
+/// The strategy a finished solve actually ran, read back from its
+/// telemetry: `"race"` when the widest dispatched plan was mixed, else
+/// the name of the strategy that answered. `None` when no dispatched
+/// solve ran. This is what routers report as their `strategy`
+/// diagnostic, so it can never disagree with the row's `strategy`.
+pub fn strategy_ran(telemetry: &sat::SolverTelemetry) -> Option<&'static str> {
+    match telemetry.dispatch_mix {
+        Some(MIXED_LABEL) => Some(SearchStrategy::Race.name()),
+        Some(_) => telemetry.strategy,
+        None => None,
     }
 }
 
@@ -207,54 +225,60 @@ pub fn prefers_core(features: &InstanceFeatures) -> bool {
     features.weighted_softs > 0 && 2 * features.weighted_softs >= features.soft_clauses
 }
 
-/// Resolves features, the requested strategy, and the caller's width hint
-/// into a concrete worker plan.
+/// Resolves features and a request's two hints into a concrete worker
+/// plan.
 ///
+/// * An `Auto` strategy runs the stratified core-guided search when
+///   [`prefers_core`] says the objective is weighted, and the paper's
+///   linear search otherwise; explicit strategies are never
+///   second-guessed.
 /// * `Auto` widths scale with hardness: 1 below [`SMALL_INSTANCE`], at
 ///   most 2 below [`MEDIUM_INSTANCE`], the machine-sized
-///   [`sat::auto_width`] beyond; forced widths are honored as-is.
-/// * Sharing turns on at [`SMALL_INSTANCE`] — the same gate the portfolio
-///   applies internally, now decided once and recorded in the plan — and
-///   is always on for a mixed plan, whose whole point is cross-strategy
-///   cooperation.
-/// * `Strategy::Race` on a small `Auto` request degenerates to a single
-///   worker — linear, or core-guided when [`prefers_core`] says the
-///   objective is weighted (the race overhead loses on small instances
-///   either way, per the bench data); otherwise the width splits into a
+///   [`sat::auto_width`] beyond; `Serial` and `Width(n)` are honored
+///   as-is (`Width(0)` clamps to 1).
+/// * Sharing needs more than one worker. It turns on at
+///   [`SMALL_INSTANCE`] — the same gate the portfolio applies
+///   internally — and is always on for a mixed plan, whose whole point
+///   is cross-strategy cooperation.
+/// * `Race` on a small `Auto` request degenerates to a single worker —
+///   linear, or core-guided when [`prefers_core`] says the objective is
+///   weighted (the race overhead loses on small instances either way,
+///   per the bench data); otherwise the width splits into a
 ///   heterogeneous linear + core-guided worker set, with the rounding
 ///   benefit going to the strategy [`prefers_core`] favors. A forced
-///   width of 1 still races one worker per strategy — an explicit
-///   race request always gets both strategies.
+///   width of 1 still races one worker per strategy — an explicit race
+///   request always gets both strategies.
 ///
 /// # Examples
 ///
 /// ```
-/// use maxsat::{dispatch, InstanceFeatures, Strategy, WidthHint};
+/// use maxsat::{dispatch, InstanceFeatures, Parallelism, SearchStrategy};
 /// let small = InstanceFeatures { vars: 100, hard_clauses: 50, ..Default::default() };
-/// let p = dispatch::plan(&small, Strategy::Race, WidthHint::Auto);
+/// let p = dispatch::plan(&small, SearchStrategy::Race, Parallelism::Auto);
 /// assert_eq!((p.linear_width, p.core_width), (1, 0));
 /// assert!(!p.sharing);
-/// let forced = dispatch::plan(&small, Strategy::Race, WidthHint::Forced(4));
+/// let forced = dispatch::plan(&small, SearchStrategy::Race, Parallelism::Width(4));
 /// assert_eq!((forced.linear_width, forced.core_width), (2, 2));
 /// ```
-pub fn plan(features: &InstanceFeatures, strategy: Strategy, hint: WidthHint) -> DispatchPlan {
+pub fn plan(
+    features: &InstanceFeatures,
+    strategy: SearchStrategy,
+    parallelism: Parallelism,
+) -> DispatchPlan {
     let hardness = features.hardness();
-    let auto_total = if hardness < SMALL_INSTANCE {
-        1
-    } else if hardness < MEDIUM_INSTANCE {
-        sat::auto_width().min(2)
-    } else {
-        sat::auto_width()
-    };
-    let total = match hint {
-        WidthHint::Forced(n) => n.max(1),
-        WidthHint::Auto => auto_total,
+    let total = match parallelism {
+        Parallelism::Serial => 1,
+        Parallelism::Width(n) => n.max(1),
+        Parallelism::Auto if hardness < SMALL_INSTANCE => 1,
+        Parallelism::Auto if hardness < MEDIUM_INSTANCE => sat::auto_width().min(2),
+        Parallelism::Auto => sat::auto_width(),
     };
     let (linear_width, core_width) = match strategy {
-        Strategy::LinearSatUnsat => (total, 0),
-        Strategy::CoreGuided => (0, total),
-        Strategy::Race => {
-            if hint == WidthHint::Auto && hardness < SMALL_INSTANCE {
+        SearchStrategy::Auto if prefers_core(features) => (0, total),
+        SearchStrategy::Auto | SearchStrategy::Linear => (total, 0),
+        SearchStrategy::CoreGuided => (0, total),
+        SearchStrategy::Race => {
+            if parallelism == Parallelism::Auto && hardness < SMALL_INSTANCE {
                 // The race overhead loses on small instances; a single
                 // worker of the feature-preferred strategy is the
                 // measured winner there.
@@ -275,8 +299,10 @@ pub fn plan(features: &InstanceFeatures, strategy: Strategy, hint: WidthHint) ->
     // Sharing pays its overhead back above the small-instance gate; a
     // *mixed* plan additionally always shares — the cross-strategy
     // exchange is the point of racing heterogeneous groups (and the
-    // historical race behaviour), whatever the instance size.
-    let sharing = hardness >= SMALL_INSTANCE || (linear_width > 0 && core_width > 0);
+    // historical race behaviour), whatever the instance size. A lone
+    // worker has no one to share with.
+    let mixed = linear_width > 0 && core_width > 0;
+    let sharing = linear_width + core_width > 1 && (hardness >= SMALL_INSTANCE || mixed);
     DispatchPlan {
         linear_width,
         core_width,
@@ -299,16 +325,17 @@ mod tests {
     #[test]
     fn small_auto_requests_resolve_to_one_linear_worker_without_sharing() {
         for strategy in [
-            Strategy::LinearSatUnsat,
-            Strategy::CoreGuided,
-            Strategy::Race,
+            SearchStrategy::Auto,
+            SearchStrategy::Linear,
+            SearchStrategy::CoreGuided,
+            SearchStrategy::Race,
         ] {
-            let p = plan(&features(SMALL_INSTANCE - 1), strategy, WidthHint::Auto);
+            let p = plan(&features(SMALL_INSTANCE - 1), strategy, Parallelism::Auto);
             assert_eq!(p.total_width(), 1, "{strategy:?}");
             assert!(!p.sharing, "{strategy:?}");
         }
         // The race specifically degenerates to linear — no second thread.
-        let p = plan(&features(10), Strategy::Race, WidthHint::Auto);
+        let p = plan(&features(10), SearchStrategy::Race, Parallelism::Auto);
         assert_eq!((p.linear_width, p.core_width), (1, 0));
         assert_eq!(p.mix_label(), "linear");
     }
@@ -317,15 +344,15 @@ mod tests {
     fn hardness_scales_auto_width_through_the_tiers() {
         let medium = plan(
             &features(SMALL_INSTANCE),
-            Strategy::LinearSatUnsat,
-            WidthHint::Auto,
+            SearchStrategy::Linear,
+            Parallelism::Auto,
         );
         assert!(medium.total_width() <= 2);
-        assert!(medium.sharing);
+        assert_eq!(medium.sharing, medium.total_width() > 1);
         let hard = plan(
             &features(MEDIUM_INSTANCE),
-            Strategy::LinearSatUnsat,
-            WidthHint::Auto,
+            SearchStrategy::Linear,
+            Parallelism::Auto,
         );
         assert_eq!(hard.total_width(), sat::auto_width());
         assert!(hard.total_width() >= medium.total_width());
@@ -334,34 +361,107 @@ mod tests {
     #[test]
     fn forced_widths_are_honored_and_split_across_the_race() {
         // An explicit width is never second-guessed, only mixed.
-        let p = plan(&features(10), Strategy::Race, WidthHint::Forced(3));
+        let p = plan(&features(10), SearchStrategy::Race, Parallelism::Width(3));
         assert_eq!((p.linear_width, p.core_width), (2, 1));
         assert_eq!(p.total_width(), 3);
         assert_eq!(p.mix_label(), "linear+core-guided");
         assert!(p.sharing, "mixed plans always share, whatever the size");
         // A forced serial race still runs one worker per strategy (the
         // historical race shape): the caller explicitly asked to race.
-        let serial = plan(&features(10), Strategy::Race, WidthHint::Forced(1));
+        let serial = plan(&features(10), SearchStrategy::Race, Parallelism::Width(1));
         assert_eq!((serial.linear_width, serial.core_width), (1, 1));
         // Non-race strategies take the width whole.
-        let linear = plan(
-            &features(10),
-            Strategy::LinearSatUnsat,
-            WidthHint::Forced(4),
-        );
+        let linear = plan(&features(10), SearchStrategy::Linear, Parallelism::Width(4));
         assert_eq!((linear.linear_width, linear.core_width), (4, 0));
-        let core = plan(&features(10), Strategy::CoreGuided, WidthHint::Forced(4));
+        let core = plan(
+            &features(10),
+            SearchStrategy::CoreGuided,
+            Parallelism::Width(4),
+        );
         assert_eq!((core.linear_width, core.core_width), (0, 4));
         assert_eq!(core.mix_label(), "core-guided");
         // Width 0 clamps to 1 like everywhere else in the stack.
         assert_eq!(
+            plan(&features(10), SearchStrategy::Linear, Parallelism::Width(0)).total_width(),
+            1
+        );
+    }
+
+    #[test]
+    fn a_single_worker_plan_never_shares() {
+        // Above the small-instance gate sharing would pay, but a lone
+        // worker has no peer: the plan must not claim it.
+        for hardness in [10, SMALL_INSTANCE, MEDIUM_INSTANCE] {
+            for strategy in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
+                let p = plan(&features(hardness), strategy, Parallelism::Serial);
+                assert_eq!(p.total_width(), 1);
+                assert!(!p.sharing, "{strategy:?} at hardness {hardness}");
+            }
+        }
+        let wide = plan(
+            &features(SMALL_INSTANCE),
+            SearchStrategy::Linear,
+            Parallelism::Width(2),
+        );
+        assert!(wide.sharing);
+    }
+
+    #[test]
+    fn auto_strategy_follows_the_weighted_soft_share() {
+        // Unweighted (swap-count) instances keep the paper's linear
+        // search; weighted-soft-dominated (fidelity) instances get the
+        // stratified core-guided search, at any width.
+        let unweighted = InstanceFeatures {
+            soft_clauses: 10,
+            ..features(10)
+        };
+        let weighted = InstanceFeatures {
+            weighted_softs: 9,
+            ..unweighted
+        };
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Width(3),
+            Parallelism::Auto,
+        ] {
+            let p = plan(&unweighted, SearchStrategy::Auto, parallelism);
+            assert_eq!(p.strategy(), SearchStrategy::Linear, "{parallelism:?}");
+            let p = plan(&weighted, SearchStrategy::Auto, parallelism);
+            assert_eq!(p.strategy(), SearchStrategy::CoreGuided, "{parallelism:?}");
+        }
+        // An explicit strategy is never second-guessed by the features.
+        for explicit in [
+            SearchStrategy::Linear,
+            SearchStrategy::CoreGuided,
+            SearchStrategy::Race,
+        ] {
+            for f in [&unweighted, &weighted] {
+                assert_eq!(plan(f, explicit, Parallelism::Serial).strategy(), explicit);
+            }
+        }
+    }
+
+    #[test]
+    fn strategy_ran_names_the_race_or_the_answering_strategy() {
+        let mut t = sat::SolverTelemetry::new();
+        assert_eq!(strategy_ran(&t), None, "no dispatched solve ran");
+        t.strategy = Some("core-guided");
+        t.dispatch_mix = Some(
             plan(
                 &features(10),
-                Strategy::LinearSatUnsat,
-                WidthHint::Forced(0)
+                SearchStrategy::CoreGuided,
+                Parallelism::Serial,
             )
-            .total_width(),
-            1
+            .mix_label(),
+        );
+        assert_eq!(strategy_ran(&t), Some("core-guided"));
+        t.strategy = Some("linear-sat-unsat");
+        t.dispatch_mix =
+            Some(plan(&features(10), SearchStrategy::Race, Parallelism::Serial).mix_label());
+        assert_eq!(
+            strategy_ran(&t),
+            Some("race"),
+            "a race is named, not its winner"
         );
     }
 
@@ -423,14 +523,14 @@ mod tests {
             ..Default::default()
         };
         // Small Auto race degenerates to a single core-guided worker.
-        let small = plan(&weighted, Strategy::Race, WidthHint::Auto);
+        let small = plan(&weighted, SearchStrategy::Race, Parallelism::Auto);
         assert_eq!((small.linear_width, small.core_width), (0, 1));
         assert_eq!(small.mix_label(), "core-guided");
         // An odd forced width gives the core-guided group the extra
         // worker; the unweighted split is mirrored.
-        let odd = plan(&weighted, Strategy::Race, WidthHint::Forced(3));
+        let odd = plan(&weighted, SearchStrategy::Race, Parallelism::Width(3));
         assert_eq!((odd.linear_width, odd.core_width), (1, 2));
-        let serial = plan(&weighted, Strategy::Race, WidthHint::Forced(1));
+        let serial = plan(&weighted, SearchStrategy::Race, Parallelism::Width(1));
         assert_eq!(
             (serial.linear_width, serial.core_width),
             (1, 1),
@@ -441,8 +541,8 @@ mod tests {
     #[test]
     fn plan_is_deterministic_and_recorded() {
         let f = features(SMALL_INSTANCE + 7);
-        let a = plan(&f, Strategy::Race, WidthHint::Forced(4));
-        let b = plan(&f, Strategy::Race, WidthHint::Forced(4));
+        let a = plan(&f, SearchStrategy::Race, Parallelism::Width(4));
+        let b = plan(&f, SearchStrategy::Race, Parallelism::Width(4));
         assert_eq!(a, b);
         assert_eq!(a.hardness, SMALL_INSTANCE + 7);
     }

@@ -41,14 +41,12 @@ mod solve;
 pub mod strategy;
 mod wcnf;
 
-pub use dispatch::{DispatchPlan, InstanceFeatures, WidthHint};
-pub use sat::{ResourceBudget, SolverTelemetry};
+pub use dispatch::{DispatchPlan, InstanceFeatures};
+pub use sat::{Parallelism, ResourceBudget, SearchStrategy, SolverTelemetry};
 pub use session::MaxSatSession;
 pub use solve::{
     solve, solve_with_backend, solve_with_options, solve_with_session, MaxSatOutcome, MaxSatStatus,
     SolveOptions,
 };
-pub use strategy::{
-    CoreGuided, LinearSatUnsat, RaceBounds, SearchContext, SearchStrategy, Strategy,
-};
+pub use strategy::{CoreGuided, LinearSatUnsat, RaceBounds, Search, SearchContext};
 pub use wcnf::{SoftClause, WcnfInstance};

@@ -34,11 +34,10 @@
 //! phases already point at it (phase saving survives the snapshot), so a
 //! warm solve's first descent lands near the prior optimum for free.
 
-use sat::SatBackend;
+use sat::{SatBackend, SearchStrategy};
 
 use crate::encodings::Totalizer;
 use crate::solve::SolveOptions;
-use crate::strategy::Strategy;
 use crate::wcnf::WcnfInstance;
 
 /// Reusable state from a prior MaxSAT solve of one instance: the solver
@@ -56,7 +55,7 @@ pub struct MaxSatSession<B: SatBackend> {
     /// The strategy whose private encoding (totalizers) the solver
     /// carries; a resume under a different strategy would mix encodings,
     /// so it falls back to a cold start.
-    pub(crate) strategy: Strategy,
+    pub(crate) strategy: SearchStrategy,
     /// Linear search: the strengthening totalizer, once built.
     pub(crate) totalizer: Option<Totalizer>,
     /// Core-guided search: the active assumptions with their remaining
@@ -86,13 +85,18 @@ pub struct MaxSatSession<B: SatBackend> {
 }
 
 impl<B: SatBackend> MaxSatSession<B> {
-    /// True when this session may warm-start a solve of `instance` under
-    /// `options`: same instance shape, same quantization, same strategy.
-    /// (`Race` never resumes — its racers hold two divergent encodings.)
-    pub fn compatible(&self, instance: &WcnfInstance, options: &SolveOptions) -> bool {
-        let strategy = options.strategy;
+    /// True when this session may warm-start a solve of `instance` that
+    /// the dispatcher resolved to `strategy` under `options`: same
+    /// instance shape, same quantization, same strategy. (`Race` never
+    /// resumes — its racers hold two divergent encodings.)
+    pub fn compatible(
+        &self,
+        instance: &WcnfInstance,
+        strategy: SearchStrategy,
+        options: &SolveOptions,
+    ) -> bool {
         strategy == self.strategy
-            && strategy != Strategy::Race
+            && strategy != SearchStrategy::Race
             && instance.num_vars() == self.instance_vars
             && instance.hard_clauses().len() == self.hard_count
             && instance.soft_clauses().len() == self.soft_count

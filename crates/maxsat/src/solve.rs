@@ -6,7 +6,10 @@
 //! search itself is pluggable (see [`crate::strategy`]): the classic
 //! model-improving [`crate::LinearSatUnsat`] loop (default), the
 //! core-guided [`crate::CoreGuided`] lower-bounding search, or a
-//! [`Strategy::Race`] of both with first-proof-wins semantics.
+//! [`SearchStrategy::Race`] of both with first-proof-wins semantics.
+//! [`SolveOptions`] carries the request's two hints ([`Parallelism`] and
+//! [`SearchStrategy`]) unchanged; every solve resolves them against the
+//! instance it is handed through [`crate::dispatch::plan`].
 //!
 //! The engine is generic over [`SatBackend`]; [`solve`] instantiates it
 //! with the workspace default, and [`solve_with_backend`] lets callers
@@ -14,13 +17,11 @@
 //! the engine arms the budget once and hands the *same deadline* to every
 //! SAT call, so no call can overshoot the caller's allowance.
 
-use sat::{ResourceBudget, SatBackend, SolverTelemetry};
+use sat::{Parallelism, ResourceBudget, SatBackend, SearchStrategy, SolverTelemetry};
 
-use crate::dispatch::{self, DispatchPlan, InstanceFeatures, WidthHint};
+use crate::dispatch::{self, DispatchPlan, InstanceFeatures};
 use crate::session::MaxSatSession;
-use crate::strategy::{
-    run_plan, CoreGuided, LinearSatUnsat, SearchContext, SearchStrategy, Strategy,
-};
+use crate::strategy::{run_plan, CoreGuided, LinearSatUnsat, Search, SearchContext};
 use crate::wcnf::WcnfInstance;
 
 /// Status of a completed MaxSAT search.
@@ -54,18 +55,14 @@ pub struct SolveOptions {
     /// weight already fits (quantum 1) the search stays exact. Smaller
     /// values trade optimality precision for encoding size.
     pub totalizer_units: u64,
-    /// Portfolio width requested from the backend before clauses load
-    /// (see [`sat::SatBackend::set_portfolio_width`]); `None` keeps the
-    /// backend's own default. Single-threaded backends ignore the hint.
-    pub portfolio_width: Option<usize>,
-    /// Which search strategy drives the optimization (linear SAT-UNSAT by
-    /// default; see [`Strategy`]).
-    pub strategy: Strategy,
-    /// A pre-computed worker plan from the instance-feature dispatcher
-    /// (see [`crate::dispatch`]). `None` makes the engine compute one from
-    /// the instance itself; the routing layers pass richer features
-    /// (device size, encoding estimate) and stamp the plan here.
-    pub dispatch: Option<DispatchPlan>,
+    /// How many workers the solve may use: a hint the dispatcher resolves
+    /// against the instance (see [`crate::dispatch::plan`]). Serial by
+    /// default; single-threaded backends ignore any width.
+    pub parallelism: Parallelism,
+    /// Which search strategy drives the optimization: a hint the
+    /// dispatcher resolves against the instance (linear SAT-UNSAT by
+    /// default).
+    pub strategy: SearchStrategy,
     /// Core-guided search only: partition the softs into weight strata
     /// (RC2-style, capped at [`SolveOptions::max_strata`]) and search
     /// highest-stratum-first, folding each stratum's proven bound into the
@@ -96,9 +93,8 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             totalizer_units: 4000,
-            portfolio_width: None,
-            strategy: Strategy::default(),
-            dispatch: None,
+            parallelism: Parallelism::Serial,
+            strategy: SearchStrategy::Linear,
             stratify: true,
             max_strata: 8,
             core_exhaustion: true,
@@ -116,23 +112,15 @@ impl SolveOptions {
         self
     }
 
-    /// Returns a copy requesting the given portfolio width (clamped to at
-    /// least 1 worker).
-    pub fn with_portfolio_width(mut self, width: usize) -> Self {
-        self.portfolio_width = Some(width.max(1));
+    /// Returns a copy with the given parallelism hint.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.parallelism = parallelism;
         self
     }
 
-    /// Returns a copy selecting the given search strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
+    /// Returns a copy with the given search-strategy hint.
+    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Returns a copy carrying a pre-computed dispatch plan (see
-    /// [`crate::dispatch::plan`]).
-    pub fn with_dispatch(mut self, plan: DispatchPlan) -> Self {
-        self.dispatch = Some(plan);
         self
     }
 
@@ -179,15 +167,14 @@ impl SolveOptions {
     }
 }
 
-/// The plan this call runs under: the caller's pre-computed plan when
-/// present, otherwise one sized from the instance's own features.
+/// The plan this call runs under: the options' hints resolved against
+/// the instance's own features.
 fn resolved_plan(instance: &WcnfInstance, options: &SolveOptions) -> DispatchPlan {
-    options.dispatch.unwrap_or_else(|| {
-        let hint = options
-            .portfolio_width
-            .map_or(WidthHint::Auto, WidthHint::Forced);
-        dispatch::plan(&InstanceFeatures::of(instance), options.strategy, hint)
-    })
+    dispatch::plan(
+        &InstanceFeatures::of(instance),
+        options.strategy,
+        options.parallelism,
+    )
 }
 
 /// Records the dispatch decision on the outcome's telemetry so it reaches
@@ -214,7 +201,7 @@ pub struct MaxSatOutcome {
     /// larger quanta can only claim [`MaxSatStatus::Feasible`]).
     pub quantum: u64,
     /// Name of the search strategy that produced this outcome — for a
-    /// [`Strategy::Race`], the racer whose answer was kept.
+    /// [`SearchStrategy::Race`], the racer whose answer was kept.
     pub strategy: &'static str,
     /// Solver effort spent answering this call.
     pub telemetry: SolverTelemetry,
@@ -263,34 +250,20 @@ pub fn solve_with_backend<B: SatBackend + Default + Send>(
     solve_with_options::<B>(instance, &budget, &SolveOptions::default())
 }
 
-/// [`solve`] with an explicit backend and engine tunables: dispatches the
-/// selected [`Strategy`] over a freshly encoded
-/// [`SearchContext`](crate::SearchContext). (`Send` bounds the backend so
-/// [`Strategy::Race`] can run its heterogeneous worker groups on scoped
-/// threads.)
-///
-/// [`Strategy::Race`] runs through the unified plan engine
-/// (`crate::strategy::run_plan`): the instance-feature dispatcher sizes
-/// a linear + core-guided worker set (see [`crate::dispatch`]), and small
-/// instances degenerate to a single inline linear search with no race
-/// overhead at all.
+/// [`solve`] with an explicit backend and engine tunables: resolves the
+/// options' hints into a worker plan (see [`crate::dispatch::plan`]) and
+/// runs it over a freshly encoded [`SearchContext`](crate::SearchContext).
+/// Single-strategy plans run inline on one backend of the plan's width;
+/// a mixed plan races a linear group against a core-guided group
+/// (`crate::strategy::run_plan`). (`Send` bounds the backend so a race
+/// can run its worker groups on scoped threads.)
 pub fn solve_with_options<B: SatBackend + Default + Send>(
     instance: &WcnfInstance,
     budget: &ResourceBudget,
     options: &SolveOptions,
 ) -> MaxSatOutcome {
     let plan = resolved_plan(instance, options);
-    let mut outcome = match options.strategy {
-        Strategy::LinearSatUnsat => {
-            let mut ctx = SearchContext::<B>::new(instance, budget, options);
-            LinearSatUnsat.search(&mut ctx)
-        }
-        Strategy::CoreGuided => {
-            let mut ctx = SearchContext::<B>::new(instance, budget, options);
-            CoreGuided.search(&mut ctx)
-        }
-        Strategy::Race => run_plan::<B>(instance, budget, options, plan),
-    };
+    let mut outcome = run_plan::<B>(instance, budget, options, plan);
     stamp_dispatch(&mut outcome, plan);
     outcome
 }
@@ -306,7 +279,7 @@ pub fn solve_with_options<B: SatBackend + Default + Send>(
 /// routing layers key sessions by a canonical request fingerprint to
 /// guarantee it, and [`MaxSatSession::compatible`] additionally rejects
 /// obvious shape mismatches (falling back to a cold solve, never
-/// corrupting). [`Strategy::Race`] never resumes: its two racers hold
+/// corrupting). A mixed (racing) plan never resumes: its two racers hold
 /// divergent private encodings; the session is left untouched so a later
 /// non-race call can still use it.
 ///
@@ -321,22 +294,25 @@ pub fn solve_with_session<B: SatBackend + Default + Send>(
     session: &mut Option<MaxSatSession<B>>,
 ) -> MaxSatOutcome {
     let plan = resolved_plan(instance, options);
-    if options.strategy == Strategy::Race {
+    let strategy = plan.strategy();
+    if strategy == SearchStrategy::Race {
         let mut outcome = run_plan::<B>(instance, budget, options, plan);
         stamp_dispatch(&mut outcome, plan);
         return outcome;
     }
-    let resumed = session.take().filter(|s| s.compatible(instance, options));
+    let resumed = session
+        .take()
+        .filter(|s| s.compatible(instance, strategy, options));
     let mut ctx = match resumed {
         Some(s) => SearchContext::resume(s, instance, budget, options),
         None => SearchContext::<B>::new(instance, budget, options),
     };
-    let mut outcome = match options.strategy {
-        Strategy::LinearSatUnsat => LinearSatUnsat.search(&mut ctx),
-        Strategy::CoreGuided => CoreGuided.search(&mut ctx),
-        Strategy::Race => unreachable!("race handled above"),
+    ctx.set_width(plan.total_width());
+    let mut outcome = match strategy {
+        SearchStrategy::CoreGuided => CoreGuided.search(&mut ctx),
+        _ => LinearSatUnsat.search(&mut ctx),
     };
-    *session = Some(ctx.into_session(options.strategy, options, &outcome));
+    *session = Some(ctx.into_session(strategy, options, &outcome));
     stamp_dispatch(&mut outcome, plan);
     outcome
 }
@@ -513,7 +489,7 @@ mod tests {
 
     #[test]
     fn warm_session_reaches_the_cold_optimum_faster() {
-        for strategy in [Strategy::LinearSatUnsat, Strategy::CoreGuided] {
+        for strategy in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
             let inst = session_instance();
             let options = SolveOptions::default().with_strategy(strategy);
             let mut session = None;
@@ -575,7 +551,7 @@ mod tests {
         assert!(!out.telemetry.warm_start);
         // A strategy switch must not resume either (the carried totalizer
         // encoding is strategy-private).
-        let core_opts = options.with_strategy(Strategy::CoreGuided);
+        let core_opts = options.with_strategy(SearchStrategy::CoreGuided);
         let out = solve_with_session::<sat::DefaultBackend>(
             &other,
             &ResourceBudget::unlimited(),
@@ -622,7 +598,7 @@ mod tests {
             &options,
             &mut session,
         );
-        let race_opts = options.with_strategy(Strategy::Race);
+        let race_opts = options.with_strategy(SearchStrategy::Race);
         let raced = solve_with_session::<sat::DefaultBackend>(
             &inst,
             &ResourceBudget::unlimited(),

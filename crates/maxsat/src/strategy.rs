@@ -1,6 +1,6 @@
 //! Search strategies of the MaxSAT engine, and the driver that races them.
 //!
-//! The engine's optimality search is factored into a [`SearchStrategy`]
+//! The engine's optimality search is factored into a [`Search`]
 //! over a shared [`SearchContext`] (solver, soft-clause indicators, weight
 //! quantum, budget, telemetry, incumbent model). Two strategies ship:
 //!
@@ -15,7 +15,7 @@
 //!   bound walks up one output at a time. The first SAT answer *is* the
 //!   optimum. Strong when the optimum is small and cores are local.
 //!
-//! Neither dominates — which is why [`Strategy::Race`] runs both. Races
+//! Neither dominates — which is why [`SearchStrategy::Race`] runs both. Races
 //! execute through the unified plan engine (`run_plan`): the
 //! instance-feature dispatcher ([`crate::dispatch`]) sizes a worker plan
 //! (how many linear workers, how many core-guided, sharing on or off),
@@ -42,8 +42,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sat::{
-    ClauseExchange, ExchangePort, Lit, ResourceBudget, SatBackend, SharingConfig, SolveResult,
-    SolverTelemetry, Stats, WorkerRole,
+    ClauseExchange, ExchangePort, Lit, ResourceBudget, SatBackend, SearchStrategy, SharingConfig,
+    SolveResult, SolverTelemetry, Stats, WorkerRole,
 };
 
 use crate::dispatch::{DispatchPlan, CORE_ROLE_SEED};
@@ -118,32 +118,6 @@ const TRIM_CONFLICT_CAP: u64 = 1_000;
 /// finishing.
 const EXHAUST_CONFLICT_CAP: u64 = 100;
 
-/// Which search strategy drives [`crate::solve_with_options`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Model-improving linear SAT-UNSAT search (the engine's classic
-    /// behaviour, and still the default).
-    #[default]
-    LinearSatUnsat,
-    /// OLL-style core-guided lower-bounding search.
-    CoreGuided,
-    /// Race both strategies as a heterogeneous worker plan sized by the
-    /// instance-feature dispatcher; first proof wins and cancels the
-    /// peer group (see `run_plan` and [`crate::dispatch`]).
-    Race,
-}
-
-impl Strategy {
-    /// Short name for telemetry rows and experiment tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::LinearSatUnsat => LinearSatUnsat.name(),
-            Strategy::CoreGuided => CoreGuided.name(),
-            Strategy::Race => "race",
-        }
-    }
-}
-
 /// The state every strategy searches over: the loaded solver, the soft
 /// indicators, the weight quantum, the armed budget, telemetry, and the
 /// best model seen so far. Building the context performs the shared
@@ -216,9 +190,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         let budget = budget.arm();
         let mut telemetry = SolverTelemetry::new();
         let mut solver = B::default();
-        if let Some(width) = options.portfolio_width {
-            solver.set_portfolio_width(width);
-        }
 
         let encode_start = Instant::now();
         solver.reserve_vars(instance.num_vars());
@@ -306,10 +277,7 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         options: &SolveOptions,
     ) -> Self {
         let budget = budget.arm();
-        let mut solver = session.solver;
-        if let Some(width) = options.portfolio_width {
-            solver.set_portfolio_width(width);
-        }
+        let solver = session.solver;
         let mut telemetry = SolverTelemetry::new();
         telemetry.warm_start = true;
         telemetry.reused_clauses = solver.num_clauses() as u64;
@@ -354,7 +322,7 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// took it out of the context when it finished).
     pub fn into_session(
         self,
-        strategy: Strategy,
+        strategy: SearchStrategy,
         options: &SolveOptions,
         outcome: &MaxSatOutcome,
     ) -> MaxSatSession<B> {
@@ -482,6 +450,13 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// groups on one backend type.
     pub fn apply_role(&mut self, role: &WorkerRole) {
         self.solver.set_worker_role(role);
+    }
+
+    /// Sets how many portfolio workers the backend races per SAT call
+    /// (see [`sat::SatBackend::set_portfolio_width`]; single-threaded
+    /// backends ignore it). The engine sets it from its dispatch plan.
+    pub fn set_width(&mut self, width: usize) {
+        self.solver.set_portfolio_width(width);
     }
 
     /// The highest lower bound proved by a racing core-guided group (0
@@ -792,7 +767,7 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
 
 /// One search strategy of the MaxSAT engine, running over a prepared
 /// [`SearchContext`] until it can prove a status or exhausts the budget.
-pub trait SearchStrategy {
+pub trait Search {
     /// Short name for telemetry rows and experiment tables.
     fn name(&self) -> &'static str;
 
@@ -808,7 +783,7 @@ pub trait SearchStrategy {
 /// conservative extension of the instance and lemmas remain exchangeable.
 pub struct LinearSatUnsat;
 
-impl SearchStrategy for LinearSatUnsat {
+impl Search for LinearSatUnsat {
     fn name(&self) -> &'static str {
         "linear-sat-unsat"
     }
@@ -931,7 +906,7 @@ type RelaxSource = (usize, u64, u64); // (totalizer index, output sum, weight)
 /// with *every* stratum active is the (quantized) optimum.
 pub struct CoreGuided;
 
-impl SearchStrategy for CoreGuided {
+impl Search for CoreGuided {
     fn name(&self) -> &'static str {
         "core-guided"
     }
@@ -1107,8 +1082,8 @@ impl SearchStrategy for CoreGuided {
     }
 }
 
-/// Runs a [`DispatchPlan`] — the unified execution engine behind
-/// [`Strategy::Race`].
+/// Runs a [`DispatchPlan`] — the execution engine behind every cold
+/// solve ([`crate::solve_with_options`]) and every race.
 ///
 /// Single-group plans (every worker running one strategy) execute
 /// *inline*: one [`SearchContext`] whose backend takes the whole group's
@@ -1146,15 +1121,13 @@ pub(crate) fn run_plan<B: SatBackend + Default + Send>(
     plan: DispatchPlan,
 ) -> MaxSatOutcome {
     // Single-strategy plans run inline — no race machinery at all.
-    if plan.core_width == 0 {
-        let opts = options.with_portfolio_width(plan.linear_width.max(1));
-        let mut ctx = SearchContext::<B>::new(instance, budget, &opts);
-        return LinearSatUnsat.search(&mut ctx);
-    }
-    if plan.linear_width == 0 {
-        let opts = options.with_portfolio_width(plan.core_width.max(1));
-        let mut ctx = SearchContext::<B>::new(instance, budget, &opts);
-        return CoreGuided.search(&mut ctx);
+    if plan.core_width == 0 || plan.linear_width == 0 {
+        let mut ctx = SearchContext::<B>::new(instance, budget, options);
+        ctx.set_width(plan.total_width());
+        return match plan.strategy() {
+            SearchStrategy::CoreGuided => CoreGuided.search(&mut ctx),
+            _ => LinearSatUnsat.search(&mut ctx),
+        };
     }
 
     let armed = budget.arm();
@@ -1193,8 +1166,8 @@ pub(crate) fn run_plan<B: SatBackend + Default + Send>(
                group: usize,
                role: WorkerRole,
                width: usize| {
-        let opts = options.with_portfolio_width(width);
-        let mut ctx = SearchContext::<B>::new(instance, &worker_budget, &opts);
+        let mut ctx = SearchContext::<B>::new(instance, &worker_budget, options);
+        ctx.set_width(width);
         debug_assert_eq!(ctx.shared_vars(), shared_vars);
         ctx.apply_role(&role);
         if let Some(exchange) = &exchange {
@@ -1316,7 +1289,7 @@ mod tests {
         inst
     }
 
-    fn search_with<S: SearchStrategy>(strategy: &S, inst: &WcnfInstance) -> MaxSatOutcome {
+    fn search_with<S: Search>(strategy: &S, inst: &WcnfInstance) -> MaxSatOutcome {
         let mut ctx = SearchContext::<DefaultBackend>::new(
             inst,
             &ResourceBudget::unlimited(),
@@ -1393,8 +1366,8 @@ mod tests {
     fn mixed_plan(inst: &WcnfInstance) -> DispatchPlan {
         let plan = crate::dispatch::plan(
             &crate::dispatch::InstanceFeatures::of(inst),
-            Strategy::Race,
-            crate::dispatch::WidthHint::Forced(2),
+            SearchStrategy::Race,
+            sat::Parallelism::Width(2),
         );
         assert_eq!((plan.linear_width, plan.core_width), (1, 1));
         plan
@@ -1430,8 +1403,8 @@ mod tests {
         let inst = weighted_instance();
         let plan = crate::dispatch::plan(
             &crate::dispatch::InstanceFeatures::of(&inst),
-            Strategy::Race,
-            crate::dispatch::WidthHint::Auto,
+            SearchStrategy::Race,
+            sat::Parallelism::Auto,
         );
         assert_eq!((plan.linear_width, plan.core_width), (0, 1));
         let out = run_plan::<DefaultBackend>(
@@ -1453,8 +1426,8 @@ mod tests {
         unweighted.add_soft(1, [!b]);
         let plan = crate::dispatch::plan(
             &crate::dispatch::InstanceFeatures::of(&unweighted),
-            Strategy::Race,
-            crate::dispatch::WidthHint::Auto,
+            SearchStrategy::Race,
+            sat::Parallelism::Auto,
         );
         assert_eq!((plan.linear_width, plan.core_width), (1, 0));
     }
@@ -1601,9 +1574,11 @@ mod tests {
 
     #[test]
     fn strategy_names_are_stable() {
-        assert_eq!(Strategy::LinearSatUnsat.name(), "linear-sat-unsat");
-        assert_eq!(Strategy::CoreGuided.name(), "core-guided");
-        assert_eq!(Strategy::Race.name(), "race");
-        assert_eq!(Strategy::default(), Strategy::LinearSatUnsat);
+        assert_eq!(SearchStrategy::Linear.name(), LinearSatUnsat.name());
+        assert_eq!(SearchStrategy::Linear.name(), "linear-sat-unsat");
+        assert_eq!(SearchStrategy::CoreGuided.name(), CoreGuided.name());
+        assert_eq!(SearchStrategy::CoreGuided.name(), "core-guided");
+        assert_eq!(SearchStrategy::Race.name(), "race");
+        assert_eq!(SolveOptions::default().strategy, SearchStrategy::Linear);
     }
 }

@@ -6,7 +6,7 @@
 //! with cross-call clause imports on the books.
 
 use maxsat::{
-    solve_with_options, MaxSatOutcome, MaxSatStatus, SolveOptions, Strategy, WcnfInstance,
+    solve_with_options, MaxSatOutcome, MaxSatStatus, SearchStrategy, SolveOptions, WcnfInstance,
 };
 use proptest::prelude::*;
 use sat::{DefaultBackend, Lit, PortfolioBackend, ResourceBudget};
@@ -26,7 +26,7 @@ fn brute_force(inst: &WcnfInstance) -> Option<u64> {
     best
 }
 
-fn solve_strategy(inst: &WcnfInstance, strategy: Strategy) -> MaxSatOutcome {
+fn solve_strategy(inst: &WcnfInstance, strategy: SearchStrategy) -> MaxSatOutcome {
     // A huge unit count keeps quantum = 1 (exact) on these tiny weights.
     let options = SolveOptions::default()
         .with_totalizer_units(u64::MAX)
@@ -99,10 +99,10 @@ proptest! {
         }
 
         let expect = brute_force(&inst);
-        let refined = solve_strategy(&inst, Strategy::CoreGuided);
+        let refined = solve_strategy(&inst, SearchStrategy::CoreGuided);
         let plain_options = SolveOptions::default()
             .with_totalizer_units(u64::MAX)
-            .with_strategy(Strategy::CoreGuided)
+            .with_strategy(SearchStrategy::CoreGuided)
             .plain_core_guided();
         let plain = solve_with_options::<DefaultBackend>(
             &inst, &ResourceBudget::unlimited(), &plain_options);
@@ -144,9 +144,9 @@ proptest! {
         }
 
         let expect = brute_force(&inst);
-        let linear = solve_strategy(&inst, Strategy::LinearSatUnsat);
-        let core = solve_strategy(&inst, Strategy::CoreGuided);
-        let race = solve_strategy(&inst, Strategy::Race);
+        let linear = solve_strategy(&inst, SearchStrategy::Linear);
+        let core = solve_strategy(&inst, SearchStrategy::CoreGuided);
+        let race = solve_strategy(&inst, SearchStrategy::Race);
         for (label, out) in [("linear", &linear), ("core-guided", &core), ("race", &race)] {
             match expect {
                 None => prop_assert_eq!(out.status, MaxSatStatus::Unsat, "{}", label),
@@ -168,8 +168,8 @@ fn core_guided_wins_satisfiable_pigeonhole_in_fewer_calls() {
     // bound down, while core-guided's all-placed assumptions are
     // satisfiable on the very first call.
     let inst = placement(6, 6);
-    let linear = solve_strategy(&inst, Strategy::LinearSatUnsat);
-    let core = solve_strategy(&inst, Strategy::CoreGuided);
+    let linear = solve_strategy(&inst, SearchStrategy::Linear);
+    let core = solve_strategy(&inst, SearchStrategy::CoreGuided);
     assert_eq!(linear.status, MaxSatStatus::Optimal);
     assert_eq!(core.status, MaxSatStatus::Optimal);
     assert_eq!(linear.cost, Some(0));
@@ -189,11 +189,11 @@ fn overfull_pigeonhole_pays_one_core_per_extra_pigeon() {
     // One pigeon too many: a single core raises the lower bound to the
     // optimum, so core-guided needs exactly one UNSAT and one SAT call.
     let inst = placement(5, 4);
-    let core = solve_strategy(&inst, Strategy::CoreGuided);
+    let core = solve_strategy(&inst, SearchStrategy::CoreGuided);
     assert_eq!(core.status, MaxSatStatus::Optimal);
     assert_eq!(core.cost, Some(1));
     assert_eq!(core.iterations, 2, "one core, then the optimal model");
-    let linear = solve_strategy(&inst, Strategy::LinearSatUnsat);
+    let linear = solve_strategy(&inst, SearchStrategy::Linear);
     assert_eq!(linear.cost, Some(1));
     assert!(core.iterations < linear.iterations);
 }
@@ -231,7 +231,7 @@ fn exhaustion_pays_extra_weight_units_inside_one_relaxation() {
     inst.add_soft(5, [a]);
     inst.add_soft(6, [b]);
 
-    let out = solve_strategy(&inst, Strategy::CoreGuided);
+    let out = solve_strategy(&inst, SearchStrategy::CoreGuided);
     assert_eq!(out.status, MaxSatStatus::Optimal);
     assert_eq!(out.cost, Some(11));
     assert_eq!(out.cost, brute_force(&inst));
@@ -243,7 +243,7 @@ fn exhaustion_pays_extra_weight_units_inside_one_relaxation() {
     // Cost-equal to the un-refined search, as always.
     let plain_options = SolveOptions::default()
         .with_totalizer_units(u64::MAX)
-        .with_strategy(Strategy::CoreGuided)
+        .with_strategy(SearchStrategy::CoreGuided)
         .plain_core_guided();
     let plain =
         solve_with_options::<DefaultBackend>(&inst, &ResourceBudget::unlimited(), &plain_options);
@@ -329,8 +329,8 @@ fn race_on_pigeonhole_family_is_won_by_core_guided_with_cross_call_imports() {
 
     let options = SolveOptions::default()
         .with_totalizer_units(u64::MAX)
-        .with_strategy(Strategy::Race)
-        .with_portfolio_width(2);
+        .with_strategy(SearchStrategy::Race)
+        .with_parallelism(maxsat::Parallelism::Width(2));
     let out = solve_with_options::<PortfolioBackend<DefaultBackend>>(
         &inst,
         &ResourceBudget::unlimited(),
@@ -367,7 +367,7 @@ fn diverse_weighted_instance() -> (WcnfInstance, u64) {
 #[test]
 fn stratified_search_records_strata_and_hardened_softs() {
     let (inst, expected) = diverse_weighted_instance();
-    let out = solve_strategy(&inst, Strategy::CoreGuided);
+    let out = solve_strategy(&inst, SearchStrategy::CoreGuided);
     assert_eq!(out.status, MaxSatStatus::Optimal);
     assert_eq!(out.cost, Some(expected));
     assert!(
@@ -393,7 +393,7 @@ fn warm_started_stratified_solve_resumes_mid_stratum() {
     let (inst, expected) = diverse_weighted_instance();
     let options = SolveOptions::default()
         .with_totalizer_units(u64::MAX)
-        .with_strategy(Strategy::CoreGuided);
+        .with_strategy(SearchStrategy::CoreGuided);
     let mut session = None;
     let starved = ResourceBudget::unlimited().conflicts_per_call(0);
     let first =
@@ -425,10 +425,10 @@ fn race_equals_linear_across_widths() {
     // portfolios — racing and sharing change the route, never the answer.
     for pigeons in 3..=5usize {
         let inst = placement(pigeons, 3);
-        let linear = solve_strategy(&inst, Strategy::LinearSatUnsat);
+        let linear = solve_strategy(&inst, SearchStrategy::Linear);
         let options = SolveOptions::default()
-            .with_strategy(Strategy::Race)
-            .with_portfolio_width(2);
+            .with_strategy(SearchStrategy::Race)
+            .with_parallelism(maxsat::Parallelism::Width(2));
         let race = solve_with_options::<PortfolioBackend<DefaultBackend>>(
             &inst,
             &ResourceBudget::unlimited(),

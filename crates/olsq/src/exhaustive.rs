@@ -267,9 +267,10 @@ impl<B: SatBackend + Default + Send> Router for Exhaustive<B> {
     }
 
     fn route_request(&self, request: &RouteRequest<'_>) -> RouteOutcome {
-        RouteOutcome::capture(self.name(), || self.route_impl(request))
-            .with_diagnostic("encoding", "naive-exhaustive")
-            .with_diagnostic("portfolio_width", request.parallelism().resolve())
+        let outcome = RouteOutcome::capture(self.name(), || self.route_impl(request))
+            .with_diagnostic("encoding", "naive-exhaustive");
+        let width = outcome.telemetry().dispatch_width;
+        outcome.with_diagnostic("portfolio_width", width)
     }
 }
 

@@ -38,19 +38,10 @@ pub use exhaustive::Exhaustive;
 pub use transition::Transition;
 
 /// The `maxsat` engine options a request resolves to for these baselines:
-/// portfolio width from the parallelism hint, search strategy from the
-/// request's strategy knob.
+/// the request's parallelism and strategy hints, passed unchanged (the
+/// engine's dispatcher resolves them per solve, exactly as for SATMAP).
 pub(crate) fn engine_options(request: &circuit::RouteRequest<'_>) -> maxsat::SolveOptions {
-    let strategy = match request.strategy() {
-        // The baselines solve unweighted swap-count objectives only, so
-        // the feature-resolved `Auto` default always lands on linear.
-        circuit::SearchStrategy::Auto | circuit::SearchStrategy::Linear => {
-            maxsat::Strategy::LinearSatUnsat
-        }
-        circuit::SearchStrategy::CoreGuided => maxsat::Strategy::CoreGuided,
-        circuit::SearchStrategy::Race => maxsat::Strategy::Race,
-    };
     maxsat::SolveOptions::default()
-        .with_portfolio_width(request.parallelism().resolve())
-        .with_strategy(strategy)
+        .with_parallelism(request.parallelism())
+        .with_strategy(request.strategy())
 }

@@ -289,9 +289,10 @@ impl<B: SatBackend + Default + Send> Router for Transition<B> {
     }
 
     fn route_request(&self, request: &RouteRequest<'_>) -> RouteOutcome {
-        RouteOutcome::capture(self.name(), || self.route_impl(request))
-            .with_diagnostic("encoding", "transition-based")
-            .with_diagnostic("portfolio_width", request.parallelism().resolve())
+        let outcome = RouteOutcome::capture(self.name(), || self.route_impl(request))
+            .with_diagnostic("encoding", "transition-based");
+        let width = outcome.telemetry().dispatch_width;
+        outcome.with_diagnostic("portfolio_width", width)
     }
 }
 

@@ -22,8 +22,9 @@
 //!
 //! The three SAT-based SATMAP variants are built over
 //! [`sat::PortfolioBackend`], so a request's [`circuit::Parallelism`] hint
-//! races diversified workers; `Serial` requests solve inline with zero
-//! racing overhead and identical costs. Every SAT-based router also honors
+//! races diversified workers where the engine's dispatcher deems the
+//! instance hard enough; `Serial` requests solve inline with zero racing
+//! overhead. Every SAT-based router also honors
 //! the request's [`circuit::SearchStrategy`]: the MaxSAT engine's linear
 //! SAT-UNSAT search (default), the core-guided lower-bounding search, or a
 //! first-proof-wins race of both.

@@ -13,7 +13,9 @@
 //!    [`RouteError::Overloaded`], [`RouteError::Internal`]) are re-attempted
 //!    up to [`RoutePolicy::max_attempts`] times, each retry after a
 //!    deterministic jittered backoff ([`ResourceBudget::backoff_for`]) and
-//!    under a budget scaled by [`RoutePolicy::escalation`]. SATMAP retries
+//!    under a budget scaled by [`RoutePolicy::escalation`]. A `Serial`
+//!    request retries under `Parallelism::Auto`, so the dispatcher may
+//!    answer the escalated attempt with a wider plan. SATMAP retries
 //!    warm-start from the session deposited by the failed attempt in the
 //!    supervisor's [`SessionStore`] (budgets and parallelism are excluded
 //!    from the request fingerprint, so an escalated or widened retry
@@ -110,12 +112,6 @@ pub struct RoutePolicy {
     /// footprint — the quantity the paper's 5 GB cap bounds — scales with
     /// the plan, not just the instance.
     pub admission_limit: usize,
-    /// Whether retries may widen the worker plan: a `Serial` request whose
-    /// first attempt failed retries under `Parallelism::Auto`, letting the
-    /// dispatcher race a heterogeneous portfolio at the escalated budget.
-    /// Parallelism is excluded from the request fingerprint, so the
-    /// widened retry still warm-starts from the failed attempt's session.
-    pub escalate_plan: bool,
 }
 
 impl Default for RoutePolicy {
@@ -128,7 +124,6 @@ impl Default for RoutePolicy {
             backoff_seed: 0x5EED_0BAD_CAFE,
             fallback: Some("sabre".into()),
             admission_limit: satmap::ENCODING_GUARD_LIMIT,
-            escalate_plan: true,
         }
     }
 }
@@ -374,11 +369,12 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
     }
 
     /// Scales the request's time budget for attempt `attempt` (1-based);
-    /// unlimited budgets pass through untouched. With
-    /// [`RoutePolicy::escalate_plan`], a retry also releases a `Serial`
-    /// parallelism hint to `Auto`, so the dispatcher can answer the
-    /// escalated attempt with a wider (possibly heterogeneous) worker
-    /// plan. The strategy knob is never touched: changing it would break
+    /// unlimited budgets pass through untouched. A retry also releases a
+    /// `Serial` parallelism hint to `Auto`, so the dispatcher can answer
+    /// the escalated attempt with a wider (possibly heterogeneous) worker
+    /// plan; parallelism is excluded from the request fingerprint, so the
+    /// widened retry still warm-starts from the failed attempt's session.
+    /// The strategy knob is never touched: changing it would break
     /// warm-start session compatibility.
     fn escalated_request<'a>(
         &self,
@@ -395,10 +391,7 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
             }
             _ => request.clone(),
         };
-        if self.policy.escalate_plan
-            && attempt > 1
-            && request.parallelism() == circuit::Parallelism::Serial
-        {
+        if attempt > 1 && request.parallelism() == circuit::Parallelism::Serial {
             escalated = escalated.with_parallelism(circuit::Parallelism::Auto);
         }
         escalated
@@ -667,13 +660,6 @@ mod tests {
             .with_parallelism(circuit::Parallelism::Width(2));
         let retry = supervisor.escalated_request(&pinned, base_time, 2);
         assert_eq!(retry.parallelism(), circuit::Parallelism::Width(2));
-        // And the knob can be turned off.
-        let fixed = RouteSupervisor::with_policy(RoutePolicy {
-            escalate_plan: false,
-            ..RoutePolicy::default()
-        });
-        let retry = fixed.escalated_request(&base, base_time, 2);
-        assert_eq!(retry.parallelism(), circuit::Parallelism::Serial);
     }
 
     /// Test policy: the standard ladder with millisecond backoffs.

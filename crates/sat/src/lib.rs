@@ -54,6 +54,7 @@ mod clause;
 pub mod config;
 pub mod dimacs;
 pub mod exchange;
+mod hint;
 mod lit;
 mod order;
 pub mod portfolio;
@@ -68,10 +69,9 @@ pub use chaos::{ChaosBackend, FaultPlan};
 pub use clause::ClauseRef;
 pub use config::{PhaseInit, SolverConfig};
 pub use exchange::{ClauseExchange, ExchangePort, SharingConfig, DEFAULT_MIN_INSTANCE_SIZE};
+pub use hint::{Parallelism, SearchStrategy};
 pub use lit::{LBool, Lit, Var};
-pub use portfolio::{
-    auto_width, auto_width_for_jobs, PortfolioBackend, WorkerRole, MAX_AUTO_WIDTH,
-};
+pub use portfolio::{auto_width, PortfolioBackend, WorkerRole, MAX_AUTO_WIDTH};
 pub use solver::{SolveResult, Solver};
 pub use stats::Stats;
 pub use telemetry::SolverTelemetry;

@@ -92,27 +92,14 @@ use crate::stats::Stats;
 /// cycle presets with fresh seeds for rapidly diminishing returns.
 pub const MAX_AUTO_WIDTH: usize = 8;
 
-/// Automatic portfolio width when `jobs` solver-bearing tasks run
-/// concurrently in this process: the available cores split across the
-/// jobs, clamped to `1..=`[`MAX_AUTO_WIDTH`].
-pub fn auto_width_for_jobs(jobs: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (cores / jobs.max(1)).clamp(1, MAX_AUTO_WIDTH)
-}
-
-/// Automatic portfolio width for this process:
-/// [`std::thread::available_parallelism`] shrunk by the `SATMAP_JOBS`
-/// worker count when an experiment sweep already saturates the cores
-/// (closing the loop the suite runner opens with `--jobs`).
+/// Automatic portfolio width for this process: the cores
+/// [`std::thread::available_parallelism`] reports, clamped to
+/// `1..=`[`MAX_AUTO_WIDTH`].
 pub fn auto_width() -> usize {
-    let jobs = std::env::var("SATMAP_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(1);
-    auto_width_for_jobs(jobs)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .clamp(1, MAX_AUTO_WIDTH)
 }
 
 /// Locks `m`, recovering the data if a panicking worker poisoned the
@@ -1156,9 +1143,8 @@ mod tests {
     #[test]
     fn default_is_serial_and_auto_width_is_machine_sized() {
         assert_eq!(Portfolio::default().num_workers(), 1);
-        assert!((1..=MAX_AUTO_WIDTH).contains(&auto_width()));
-        assert_eq!(auto_width_for_jobs(usize::MAX), 1);
-        assert!(auto_width_for_jobs(1) >= auto_width_for_jobs(2));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(auto_width(), cores.clamp(1, MAX_AUTO_WIDTH));
     }
 
     #[test]

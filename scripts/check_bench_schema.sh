@@ -37,6 +37,28 @@ for key in clauses_exported clauses_imported useful_imports cross_call_imports \
     grep -q "\"$key\"" "$report" || fail "missing telemetry field \"$key\""
 done
 
+# Route rows must not contradict themselves: a width-1 plan has no peer
+# to share clauses with, and the strategy diagnostic names the strategy
+# that ran (`race` for a mixed plan, whose row names the winner).
+rows=0
+while IFS= read -r row; do
+    rows=$((rows + 1))
+    router=$(sed -n 's/.*"router":"\([^"]*\)".*/\1/p' <<<"$row")
+    top=${row%%\"diagnostics\":*}
+    diagnostics=${row#*\"diagnostics\":}
+    width=$(sed -n 's/.*"dispatch_width":\([0-9]*\).*/\1/p' <<<"$top")
+    sharing=$(sed -n 's/.*"dispatch_sharing":\([a-z]*\).*/\1/p' <<<"$top")
+    strategy=$(sed -n 's/.*"strategy":"\([^"]*\)".*/\1/p' <<<"$top")
+    ran=$(sed -n 's/.*"strategy":"\([^"]*\)".*/\1/p' <<<"$diagnostics")
+    if [ "${width:-0}" -le 1 ] && [ "$sharing" = true ]; then
+        fail "$router row pairs dispatch_width ${width:-0} with dispatch_sharing true"
+    fi
+    if [ -n "$ran" ] && [ "$ran" != race ] && [ "$ran" != "$strategy" ]; then
+        fail "$router row: diagnostics.strategy \"$ran\" differs from strategy \"$strategy\""
+    fi
+done < <(grep '^ *{"router":' "$report")
+[ "$rows" -gt 0 ] || fail "no route rows"
+
 # The criterion groups must have produced medians.
 for group in '"sharing/on"' '"sharing/off"' '"arena/clone"' '"arena/reemit"' \
              '"maxsat_strategies/linear"' '"maxsat_strategies/core-guided"' \

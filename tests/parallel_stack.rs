@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use circuit::{verify::verify, Circuit, Parallelism, RouteRequest, RouteSpec, Slicing};
+use circuit::{verify::verify, Circuit, Objective, Parallelism, RouteRequest, RouteSpec, Slicing};
 use experiments::runner::{run_suite, run_tool};
 use routers::RouterRegistry;
 use sat::{
@@ -182,6 +182,44 @@ fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
     assert!(row.contains("\"dispatch_width\":1"), "{row}");
     assert!(row.contains("\"dispatch_mix\":\"linear\""), "{row}");
     assert!(row.contains("\"dispatch_sharing\":false"), "{row}");
+
+    // Above the small-instance gate a lone worker still has no one to
+    // share with: a `Serial` plan must report sharing off.
+    let larger = circuit::generators::graycode(6);
+    let outcome = router.route_request(
+        &RouteRequest::new(&larger, &arch::devices::tokyo()).with_parallelism(Parallelism::Serial),
+    );
+    assert!(outcome.solved(), "graycode6 routes");
+    let t = outcome.telemetry();
+    assert!(
+        t.dispatch_hardness >= maxsat::dispatch::SMALL_INSTANCE,
+        "graycode6 on Tokyo sits above the small-instance gate, got {}",
+        t.dispatch_hardness
+    );
+    assert_eq!(t.dispatch_width, 1);
+    assert!(!t.dispatch_sharing, "a width-1 plan never shares");
+}
+
+#[test]
+fn fidelity_rows_name_the_strategy_that_ran() {
+    // `Auto` resolves to the stratified core-guided search on the
+    // weighted fidelity objective; the row's `strategy` field and its
+    // `strategy` diagnostic must both say so.
+    let graph = arch::devices::grid(2, 2);
+    let router = RouterRegistry::standard()
+        .create("nl-satmap")
+        .expect("registered");
+    let circuit = fig3();
+    let outcome = router.route_request(
+        &RouteRequest::new(&circuit, &graph)
+            .with_objective(Objective::Fidelity(arch::NoiseModel::synthetic(&graph, 3))),
+    );
+    assert!(outcome.solved(), "fig3 routes on a 2x2 grid");
+    assert_eq!(outcome.telemetry().strategy, Some("core-guided"));
+    assert_eq!(outcome.diagnostic("strategy"), Some("core-guided"));
+    let row = outcome.to_json();
+    assert!(row.contains("\"strategy\":\"core-guided\""), "{row}");
+    assert!(!row.contains("linear-sat-unsat"), "{row}");
 }
 
 /// Hard pigeonhole clauses: would run far longer than any test timeout.
@@ -321,7 +359,7 @@ fn sharing_portfolio_maxsat_costs_match_serial_backend() {
         let portfolio = solve_with_options::<PortfolioBackend<DefaultBackend>>(
             &inst,
             &ResourceBudget::unlimited(),
-            &SolveOptions::default().with_portfolio_width(4),
+            &SolveOptions::default().with_parallelism(Parallelism::Width(4)),
         );
         assert_eq!(serial.status, portfolio.status, "instance {i}");
         assert_eq!(
@@ -411,6 +449,73 @@ fn diversified_workers_agree_on_unsat() {
 }
 
 #[test]
+fn sliced_routing_is_a_function_of_the_request() {
+    // Each slice is pinned to the previous slice's final map, so slices
+    // solve on one worker whatever the width hint: the routed ops — not
+    // just the cost — must be identical for every hint and every run.
+    let graph = arch::devices::tokyo();
+    let registry = RouterRegistry::standard();
+    let satmap = registry.create("satmap").expect("registered");
+    let widths = [
+        Parallelism::Serial,
+        Parallelism::Width(2),
+        Parallelism::Width(4),
+        Parallelism::Auto,
+    ];
+    let workloads: Vec<(String, Circuit)> = small_workloads()
+        .into_iter()
+        .filter(|(name, _)| name != "random_local")
+        .collect();
+    for (name, circuit) in &workloads {
+        let mut reference = None;
+        for parallelism in widths {
+            for run in 0..3 {
+                let request = RouteRequest::new(circuit, &graph)
+                    .with_slicing(Slicing::Sliced(4))
+                    .with_parallelism(parallelism);
+                let routed = satmap
+                    .route_request(&request)
+                    .into_result()
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                verify(circuit, &graph, &routed).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let answer = (routed.added_gates(), routed.clone());
+                match &reference {
+                    None => reference = Some(answer),
+                    Some(first) => assert_eq!(
+                        first, &answer,
+                        "{name}: {parallelism:?} run {run} differs from the first answer"
+                    ),
+                }
+            }
+        }
+    }
+    // Monolithic and cyclic solves keep the dispatcher's plan; their
+    // proven optimal costs do not depend on it.
+    for router in ["nl-satmap", "cyc-satmap"] {
+        let router = registry.create(router).expect("registered");
+        for (name, circuit) in &workloads {
+            let costs: Vec<usize> = widths
+                .iter()
+                .map(|&parallelism| {
+                    router
+                        .route_request(
+                            &RouteRequest::new(circuit, &graph).with_parallelism(parallelism),
+                        )
+                        .into_result()
+                        .unwrap_or_else(|e| panic!("{name}: {e}"))
+                        .added_gates()
+                })
+                .collect();
+            assert!(
+                costs.windows(2).all(|w| w[0] == w[1]),
+                "{}: {name} costs differ across widths: {costs:?}",
+                router.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn jobs_4_runner_rows_match_jobs_1() {
     // The acceptance criterion behind `--jobs N`: outputs are order-stable
     // and solution-identical for any job count (wall-clock columns aside,
@@ -425,8 +530,8 @@ fn jobs_4_runner_rows_match_jobs_1() {
         .expect("registered");
     let spec = RouteSpec {
         slicing: Slicing::Sliced(4),
-        // Auto resolves against the job count inside run_suite — the
-        // budget-aware portfolio sizing under test here.
+        // The job count never touches the hint: each slice solves on one
+        // worker, so rows cannot depend on it.
         parallelism: Parallelism::Auto,
         ..RouteSpec::default()
     };
