@@ -8,19 +8,13 @@
 //! and driven by a `RouteRequest` carrying the per-call budget — no
 //! concrete router type appears in this harness.
 
-use bench::{
-    bench_budget, camouflaged_core_cnf, fig3, fig3_mutants, placement_wcnf, planted_cnf,
-    small_workloads,
-};
+use bench::{bench_budget, fig3, fig3_mutants, placement_wcnf, planted_cnf, small_workloads};
 use circuit::{
     Objective, Parallelism, RepeatedStructure, RouteRequest, Router, SearchStrategy, Slicing,
 };
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use routers::{BoxedRouter, RouterRegistry};
-use sat::{
-    ClauseSink, Lit, PortfolioBackend, ResourceBudget, SatBackend, SharingConfig, SolveResult,
-    Solver,
-};
+use sat::{ClauseSink, Lit, PortfolioBackend, ResourceBudget, SatBackend, SolveResult, Solver};
 
 fn create(name: &str) -> BoxedRouter {
     RouterRegistry::standard()
@@ -247,49 +241,6 @@ fn portfolio_race(c: &mut Criterion) {
             );
         })
     });
-    group.finish();
-}
-
-/// Clause sharing on vs off: the same width-4 diversified race on an
-/// UNSAT instance whose pigeonhole core is camouflaged inside a large
-/// planted-satisfiable region (see [`camouflaged_core_cnf`]). The first
-/// worker to focus on the core exports its low-LBD refutation lemmas at
-/// restart boundaries and steers every peer out of the camouflage, so
-/// with sharing the race is cooperative rather than merely diversified;
-/// the answers are identical either way (the parallel-stack tests assert
-/// it), only the route shortens — `on` measures ~1.6-2x faster than
-/// `off` here. The crossover this group used to sit on the wrong side of: on
-/// bare conflict-heavy families like PHP(6,5), where every diversified
-/// worker converges on the same conflicts unaided, the per-restart drain
-/// overhead exceeds what the imports prune and `on` came out ~1.4x
-/// *slower* — which is exactly the regime the default
-/// `SharingConfig::min_instance_size` gate exists to skip.
-/// `BENCH_satmap.json` records both medians.
-fn sharing_race(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharing");
-    group.sample_size(10);
-    let (cnf, num_vars) = camouflaged_core_cnf(500, 2000, 7, 3);
-    let run = |sharing: bool| {
-        let mut p = PortfolioBackend::<Solver>::with_width(4);
-        p.set_sharing(sharing);
-        // The camouflaged family still sits below the conservative default
-        // size gate; this group measures the exchange itself, so open it.
-        p.set_sharing_config(SharingConfig {
-            min_instance_size: 0,
-            ..SharingConfig::default()
-        });
-        p.reserve_vars(num_vars);
-        for clause in &cnf {
-            let lits: Vec<Lit> = clause.iter().map(|&d| Lit::from_dimacs(d)).collect();
-            SatBackend::add_clause(&mut p, &lits);
-        }
-        assert_eq!(
-            p.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-    };
-    group.bench_function("on", |b| b.iter(|| run(true)));
-    group.bench_function("off", |b| b.iter(|| run(false)));
     group.finish();
 }
 
@@ -544,7 +495,6 @@ criterion_group!(
     ablation_swaps_per_gap,
     portfolio_race,
     portfolio_width_request,
-    sharing_race,
     arena_clone_vs_reemit,
     maxsat_strategies,
     weighted_core,

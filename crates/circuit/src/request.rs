@@ -752,10 +752,6 @@ impl RouteOutcome {
         out.push_str(&format!(",\"propagations\":{}", t.propagations));
         out.push_str(&format!(",\"restarts\":{}", t.restarts));
         out.push_str(&format!(",\"db_reductions\":{}", t.db_reductions));
-        out.push_str(&format!(",\"clauses_exported\":{}", t.clauses_exported));
-        out.push_str(&format!(",\"clauses_imported\":{}", t.clauses_imported));
-        out.push_str(&format!(",\"useful_imports\":{}", t.useful_imports));
-        out.push_str(&format!(",\"cross_call_imports\":{}", t.cross_call_imports));
         out.push_str(&format!(",\"compactions\":{}", t.compactions));
         out.push_str(&format!(",\"arena_bytes\":{}", t.arena_bytes));
         match t.request_id {
@@ -785,7 +781,6 @@ impl RouteOutcome {
             Some(m) => out.push_str(&format!(",\"dispatch_mix\":\"{}\"", escape_json(m))),
             None => out.push_str(",\"dispatch_mix\":null"),
         }
-        out.push_str(&format!(",\"dispatch_sharing\":{}", t.dispatch_sharing));
         out.push_str(&format!(",\"dispatch_hardness\":{}", t.dispatch_hardness));
         out.push_str(&format!(",\"strata\":{}", t.strata));
         out.push_str(&format!(",\"exhaustion_steps\":{}", t.exhaustion_steps));
@@ -963,7 +958,8 @@ mod tests {
         let g = arch::devices::tokyo();
         let req = |p| RouteRequest::new(&c, &g).with_parallelism(p);
         assert_eq!(RouteRequest::new(&c, &g).parallelism(), Parallelism::Serial);
-        for hardness in [0, sat::DEFAULT_MIN_INSTANCE_SIZE, usize::MAX / 2] {
+        let small = maxsat::dispatch::SMALL_INSTANCE as usize;
+        for hardness in [0, small, usize::MAX / 2] {
             assert_eq!(resolved_width(&req(Parallelism::Serial), hardness), 1);
             assert_eq!(resolved_width(&req(Parallelism::Width(0)), hardness), 1);
             assert_eq!(resolved_width(&req(Parallelism::Width(5)), hardness), 5);
@@ -997,7 +993,6 @@ mod tests {
         assert!(json.contains("\"error\":null"));
         assert!(json.contains("\"dispatch_width\":0"));
         assert!(json.contains("\"dispatch_mix\":null"));
-        assert!(json.contains("\"dispatch_sharing\":false"));
         assert!(json.contains("\"dispatch_hardness\":0"));
         assert!(json.contains("\"diagnostics\":{\"slice\":\"25\"}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -1203,11 +1198,9 @@ mod tests {
         let req = |p| RouteRequest::new(&c, &g).with_parallelism(p);
         let auto = req(Parallelism::Auto);
         assert_eq!(resolved_width(&auto, 0), 1);
-        assert_eq!(resolved_width(&auto, sat::DEFAULT_MIN_INSTANCE_SIZE - 1), 1);
-        assert_eq!(
-            resolved_width(&auto, sat::DEFAULT_MIN_INSTANCE_SIZE),
-            sat::auto_width().min(2)
-        );
+        let small = maxsat::dispatch::SMALL_INSTANCE as usize;
+        assert_eq!(resolved_width(&auto, small - 1), 1);
+        assert_eq!(resolved_width(&auto, small), sat::auto_width().min(2));
         // An explicit width overrides the gate (the test escape hatch).
         assert_eq!(resolved_width(&req(Parallelism::Width(4)), 0), 4);
         assert_eq!(resolved_width(&req(Parallelism::Serial), usize::MAX / 2), 1);

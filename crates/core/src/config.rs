@@ -6,7 +6,7 @@
 //! request ([`circuit::RouteSpec`]), so one router instance serves
 //! different budgets/objectives call by call.
 
-use circuit::{Objective, RouteRequest, Slicing};
+use circuit::{Objective, Parallelism, RouteRequest, Slicing};
 use sat::ResourceBudget;
 
 /// Construction-time defaults of the SATMAP router.
@@ -90,17 +90,25 @@ impl SatMapConfig {
             Slicing::Monolithic => None,
             Slicing::Sliced(k) => Some(k.max(1)),
         };
+        // A sliced request solves on one worker, whatever its width hint,
+        // also when the circuit fits in one slice: each slice is pinned to
+        // the previous slice's final map, so a slice model that depended
+        // on which racing worker won would change the rest of the route.
+        let parallelism = match slice_size {
+            Some(_) => Parallelism::Serial,
+            None => request.parallelism(),
+        };
         Resolved {
             slice_size,
             swaps_per_gap: request.swaps_per_gap().unwrap_or(self.swaps_per_gap).max(1),
             backtrack_limit: self.backtrack_limit,
             objective: request.objective().clone(),
-            // The parallelism and strategy hints ride unchanged into the
-            // engine, whose dispatcher resolves them per solver call
-            // against the instance it is handed.
+            // Otherwise the parallelism and strategy hints ride unchanged
+            // into the engine, whose dispatcher resolves them per solver
+            // call against the instance it is handed.
             options: maxsat::SolveOptions::default()
                 .with_totalizer_units(request.totalizer_units().unwrap_or(self.totalizer_units))
-                .with_parallelism(request.parallelism())
+                .with_parallelism(parallelism)
                 .with_strategy(request.strategy()),
             budget: request.budget().clone(),
         }
@@ -175,6 +183,13 @@ mod tests {
         assert_eq!(r.options.strategy, SearchStrategy::Race);
         assert_eq!(r.options.totalizer_units, 7);
         assert_eq!(r.budget.remaining_time(), Some(Duration::from_secs(3)));
+        // A sliced request solves on one worker, whatever its width hint.
+        let sliced = config.resolve(
+            &RouteRequest::new(&c, &g)
+                .with_slicing(Slicing::Sliced(4))
+                .with_parallelism(Parallelism::Width(3)),
+        );
+        assert_eq!(sliced.options.parallelism, Parallelism::Serial);
     }
 
     /// The dispatcher's (linear, core-guided) worker split for the

@@ -17,8 +17,7 @@ use std::time::{Duration, Instant};
 
 use arch::ConnectivityGraph;
 use circuit::{
-    Circuit, Parallelism, RouteError, RouteOutcome, RouteQuality, RouteRequest, RoutedCircuit,
-    RoutedOp, Router,
+    Circuit, RouteError, RouteOutcome, RouteQuality, RouteRequest, RoutedCircuit, RoutedOp, Router,
 };
 use maxsat::{MaxSatSession, MaxSatStatus};
 use sat::{DefaultBackend, ResourceBudget, SatBackend, SolverTelemetry};
@@ -536,10 +535,8 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     /// keeps the relaxation complete.
     ///
     /// Every slice solve (forward, backtracking re-solve and deepening)
-    /// runs one worker, whatever the request's width hint. The next slice
-    /// is pinned to this slice's final map, so a slice model that
-    /// depended on which racing worker won would change the rest of the
-    /// route; a serial solve returns the same model on every run.
+    /// runs one worker: a sliced request resolves to `Serial` parallelism
+    /// (see `SatMapConfig::resolve`).
     #[allow(clippy::too_many_arguments)]
     fn route_sliced(
         &self,
@@ -551,11 +548,6 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         telemetry: &mut SolverTelemetry,
         proof: &mut Proof,
     ) -> Result<RoutedCircuit, RouteError> {
-        let serial = Resolved {
-            options: p.options.with_parallelism(Parallelism::Serial),
-            ..p.clone()
-        };
-        let p = &serial;
         let slices = circuit.slices(slice_size);
         let n = p.swaps_per_gap;
 
@@ -800,6 +792,7 @@ impl<B: SatBackend + Default + Send> Router for SatMap<B> {
 mod tests {
     use super::*;
     use circuit::verify::verify;
+    use circuit::Parallelism;
     use std::time::Duration;
 
     fn fig3() -> (Circuit, ConnectivityGraph) {
@@ -815,11 +808,10 @@ mod tests {
     }
 
     #[test]
-    fn fig3_sits_below_the_auto_parallelism_and_sharing_gate() {
-        // Documents the claim behind `Parallelism::Auto` and the sharing
-        // size gate: the monolithic fig3 encoding — on its own line graph
-        // and on the larger Tokyo− device — is a small instance, so Auto
-        // resolves to width 1 and a default portfolio would not share.
+    fn fig3_sits_below_the_auto_parallelism_gate() {
+        // Documents the claim behind `Parallelism::Auto`: the monolithic
+        // fig3 encoding — on its own line graph and on the larger Tokyo−
+        // device — is a small instance, so Auto resolves to width 1.
         let (c, g) = fig3();
         let router = SatMap::new(SatMapConfig::monolithic());
         for graph in [g, arch::devices::tokyo_minus()] {
@@ -827,12 +819,11 @@ mod tests {
                 .encode_request(&RouteRequest::new(&c, &graph))
                 .expect("encodes");
             let size = artifact.instance().num_vars() + artifact.instance().hard_clauses().len();
+            let gate = maxsat::dispatch::SMALL_INSTANCE as usize;
             assert!(
-                size < sat::DEFAULT_MIN_INSTANCE_SIZE,
-                "fig3 on {} is {} (gate is {})",
-                graph.name(),
-                size,
-                sat::DEFAULT_MIN_INSTANCE_SIZE
+                size < gate,
+                "fig3 on {} is {size} (gate is {gate})",
+                graph.name()
             );
             let plan = maxsat::dispatch::plan(
                 &maxsat::InstanceFeatures::of(artifact.instance()),
@@ -840,7 +831,6 @@ mod tests {
                 Parallelism::Auto,
             );
             assert_eq!(plan.total_width(), 1);
-            assert!(!plan.sharing);
         }
     }
 

@@ -4,43 +4,34 @@
 //! A request carries two hints, [`Parallelism`] and [`SearchStrategy`].
 //! Every layer above the engine passes them down unchanged; [`plan`]
 //! turns them into a concrete [`DispatchPlan`] (how many linear-search
-//! workers, how many core-guided workers, and whether they share
-//! clauses) from cheap [`InstanceFeatures`]. The engine calls it with
-//! the features of the instance it is handed; capacity planners
-//! (`satmap::planned_width`, `satmap::plan_ceiling`) call it with
-//! pre-encode features.
+//! workers and how many core-guided workers) from cheap
+//! [`InstanceFeatures`]. The engine calls it with the features of the
+//! instance it is handed; capacity planners (`satmap::planned_width`,
+//! `satmap::plan_ceiling`) call it with pre-encode features.
 //!
 //! The bench data behind the tiers: the parallel machinery *loses* on
 //! easy instances (a width-4 portfolio is ~1.4x slower than serial on
-//! fig3, sharing trails no-sharing, and the strategy race trails plain
-//! linear search), so `Auto` hints spend workers only where the instance
-//! is hard. The tiers (measured in variables + hard clauses, or the O(1)
+//! fig3, and the strategy race trails plain linear search), so `Auto`
+//! hints spend workers only where the instance is hard. The tiers (measured in variables + hard clauses, or the O(1)
 //! `encoding_estimate` before an encoding exists):
 //!
-//! * **small** (below [`SMALL_INSTANCE`], the same gate as
-//!   [`sat::SharingConfig::min_instance_size`]) — one worker, no
-//!   sharing, no race: the per-call overhead of threads and exchanges
-//!   exceeds the whole solve time.
+//! * **small** (below [`SMALL_INSTANCE`]) — one worker, no race: the
+//!   per-call overhead of threads exceeds the whole solve time.
 //! * **medium** (below [`MEDIUM_INSTANCE`]) — at most two workers; a race
-//!   runs one linear against one core-guided worker with sharing and
-//!   bound exchange.
+//!   runs one linear against one core-guided worker with bound exchange.
 //! * **hard** — the full [`sat::auto_width`] worker budget, split across
 //!   a heterogeneous linear + core-guided portfolio.
 //!
 //! An explicit width (`Parallelism::Serial` or `Parallelism::Width`) is
-//! always honored — the dispatcher only decides the strategy mix and
-//! sharing for it.
+//! always honored — the dispatcher only decides the strategy mix for it.
 
 use sat::{Parallelism, SearchStrategy};
 
 use crate::wcnf::WcnfInstance;
 
 /// Hardness (variables + hard clauses) below which a request is *small*:
-/// solved inline by one linear worker with sharing off. Deliberately the
-/// same constant as the portfolio's sharing gate
-/// ([`sat::DEFAULT_MIN_INSTANCE_SIZE`]) so the two layers agree on what
-/// "too small to parallelize" means.
-pub const SMALL_INSTANCE: u64 = sat::DEFAULT_MIN_INSTANCE_SIZE as u64;
+/// solved inline by one worker.
+pub const SMALL_INSTANCE: u64 = 5000;
 
 /// Hardness below which a request is *medium*: at most two workers.
 pub const MEDIUM_INSTANCE: u64 = 4 * SMALL_INSTANCE;
@@ -132,17 +123,14 @@ impl InstanceFeatures {
     }
 }
 
-/// A concrete worker plan: how many workers run each strategy, and
-/// whether they cooperate through clause sharing. Produced by [`plan`].
+/// A concrete worker plan: how many workers run each strategy. Produced
+/// by [`plan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchPlan {
     /// Workers running the model-improving linear SAT-UNSAT search.
     pub linear_width: usize,
     /// Workers running the OLL core-guided search.
     pub core_width: usize,
-    /// Whether the workers exchange learned clauses (and, across strategy
-    /// groups, bounds).
-    pub sharing: bool,
     /// The hardness signal the plan was sized from (recorded for
     /// telemetry rows, so per-family bias mining has data).
     pub hardness: u64,
@@ -191,12 +179,11 @@ pub fn strategy_ran(telemetry: &sat::SolverTelemetry) -> Option<&'static str> {
 }
 
 impl Default for DispatchPlan {
-    /// The conservative plan: one linear worker, no sharing.
+    /// The conservative plan: one linear worker.
     fn default() -> Self {
         DispatchPlan {
             linear_width: 1,
             core_width: 0,
-            sharing: false,
             hardness: 0,
         }
     }
@@ -236,10 +223,6 @@ pub fn prefers_core(features: &InstanceFeatures) -> bool {
 ///   most 2 below [`MEDIUM_INSTANCE`], the machine-sized
 ///   [`sat::auto_width`] beyond; `Serial` and `Width(n)` are honored
 ///   as-is (`Width(0)` clamps to 1).
-/// * Sharing needs more than one worker. It turns on at
-///   [`SMALL_INSTANCE`] — the same gate the portfolio applies
-///   internally — and is always on for a mixed plan, whose whole point
-///   is cross-strategy cooperation.
 /// * `Race` on a small `Auto` request degenerates to a single worker —
 ///   linear, or core-guided when [`prefers_core`] says the objective is
 ///   weighted (the race overhead loses on small instances either way,
@@ -256,7 +239,6 @@ pub fn prefers_core(features: &InstanceFeatures) -> bool {
 /// let small = InstanceFeatures { vars: 100, hard_clauses: 50, ..Default::default() };
 /// let p = dispatch::plan(&small, SearchStrategy::Race, Parallelism::Auto);
 /// assert_eq!((p.linear_width, p.core_width), (1, 0));
-/// assert!(!p.sharing);
 /// let forced = dispatch::plan(&small, SearchStrategy::Race, Parallelism::Width(4));
 /// assert_eq!((forced.linear_width, forced.core_width), (2, 2));
 /// ```
@@ -296,17 +278,9 @@ pub fn plan(
             }
         }
     };
-    // Sharing pays its overhead back above the small-instance gate; a
-    // *mixed* plan additionally always shares — the cross-strategy
-    // exchange is the point of racing heterogeneous groups (and the
-    // historical race behaviour), whatever the instance size. A lone
-    // worker has no one to share with.
-    let mixed = linear_width > 0 && core_width > 0;
-    let sharing = linear_width + core_width > 1 && (hardness >= SMALL_INSTANCE || mixed);
     DispatchPlan {
         linear_width,
         core_width,
-        sharing,
         hardness,
     }
 }
@@ -332,7 +306,6 @@ mod tests {
         ] {
             let p = plan(&features(SMALL_INSTANCE - 1), strategy, Parallelism::Auto);
             assert_eq!(p.total_width(), 1, "{strategy:?}");
-            assert!(!p.sharing, "{strategy:?}");
         }
         // The race specifically degenerates to linear — no second thread.
         let p = plan(&features(10), SearchStrategy::Race, Parallelism::Auto);
@@ -348,7 +321,6 @@ mod tests {
             Parallelism::Auto,
         );
         assert!(medium.total_width() <= 2);
-        assert_eq!(medium.sharing, medium.total_width() > 1);
         let hard = plan(
             &features(MEDIUM_INSTANCE),
             SearchStrategy::Linear,
@@ -365,7 +337,6 @@ mod tests {
         assert_eq!((p.linear_width, p.core_width), (2, 1));
         assert_eq!(p.total_width(), 3);
         assert_eq!(p.mix_label(), "linear+core-guided");
-        assert!(p.sharing, "mixed plans always share, whatever the size");
         // A forced serial race still runs one worker per strategy (the
         // historical race shape): the caller explicitly asked to race.
         let serial = plan(&features(10), SearchStrategy::Race, Parallelism::Width(1));
@@ -388,22 +359,15 @@ mod tests {
     }
 
     #[test]
-    fn a_single_worker_plan_never_shares() {
-        // Above the small-instance gate sharing would pay, but a lone
-        // worker has no peer: the plan must not claim it.
+    fn a_serial_plan_runs_one_worker_at_every_tier() {
+        // The hardness tiers size `Auto` widths only: a serial request
+        // stays one worker however hard the instance.
         for hardness in [10, SMALL_INSTANCE, MEDIUM_INSTANCE] {
             for strategy in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
                 let p = plan(&features(hardness), strategy, Parallelism::Serial);
-                assert_eq!(p.total_width(), 1);
-                assert!(!p.sharing, "{strategy:?} at hardness {hardness}");
+                assert_eq!(p.total_width(), 1, "{strategy:?} at hardness {hardness}");
             }
         }
-        let wide = plan(
-            &features(SMALL_INSTANCE),
-            SearchStrategy::Linear,
-            Parallelism::Width(2),
-        );
-        assert!(wide.sharing);
     }
 
     #[test]

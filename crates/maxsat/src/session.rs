@@ -17,9 +17,7 @@
 //! definitions (relaxers, totalizers), independent of any bound assumed
 //! while learning it. Re-solving under different assumptions — a tighter
 //! bound, a bigger budget — therefore cannot change any answer; the
-//! carried clauses only prune the new search. This is the same
-//! conservative-extension argument that makes the strategy race's clause
-//! exchange sound, applied across *time* instead of across workers.
+//! carried clauses only prune the new search.
 //!
 //! The one deliberate exception is *soft hardening* (see
 //! [`crate::CoreGuided`]): a hardened soft's unit clause is sound only
@@ -51,7 +49,6 @@ pub struct MaxSatSession<B: SatBackend> {
     pub(crate) indicators: Vec<(sat::Lit, u64)>,
     pub(crate) constant_cost: u64,
     pub(crate) quantum: u64,
-    pub(crate) shared_vars: usize,
     /// The strategy whose private encoding (totalizers) the solver
     /// carries; a resume under a different strategy would mix encodings,
     /// so it falls back to a cold start.
@@ -130,7 +127,6 @@ impl<B: SatBackend> MaxSatSession<B> {
             indicators: self.indicators.clone(),
             constant_cost: self.constant_cost,
             quantum: self.quantum,
-            shared_vars: self.shared_vars,
             strategy: self.strategy,
             totalizer: self.totalizer.clone(),
             oll_active: self.oll_active.clone(),

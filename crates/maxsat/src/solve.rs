@@ -79,9 +79,8 @@ pub struct SolveOptions {
     pub core_exhaustion: bool,
     /// Core-guided search only: assert a soft hard once its remaining
     /// weight exceeds the incumbent-minus-lower-bound gap (no improving
-    /// model can afford to falsify it). Automatically disabled while a
-    /// clause exchange is attached — hardened clauses are sound only
-    /// relative to this search's incumbent and must not leak to peers.
+    /// model can afford to falsify it). Inside a race the gap also uses
+    /// the peer group's incumbent.
     pub core_hardening: bool,
     /// Core-guided search only: SAT-call cap for the destructive
     /// core-trimming pass ([`sat::trim_core`]) run before each relaxation;
@@ -182,7 +181,6 @@ fn resolved_plan(instance: &WcnfInstance, options: &SolveOptions) -> DispatchPla
 fn stamp_dispatch(outcome: &mut MaxSatOutcome, plan: DispatchPlan) {
     outcome.telemetry.dispatch_width = plan.total_width() as u32;
     outcome.telemetry.dispatch_mix = Some(plan.mix_label());
-    outcome.telemetry.dispatch_sharing = plan.sharing;
     outcome.telemetry.dispatch_hardness = plan.hardness;
 }
 

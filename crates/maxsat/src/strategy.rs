@@ -18,23 +18,20 @@
 //! Neither dominates — which is why [`SearchStrategy::Race`] runs both. Races
 //! execute through the unified plan engine (`run_plan`): the
 //! instance-feature dispatcher ([`crate::dispatch`]) sizes a worker plan
-//! (how many linear workers, how many core-guided, sharing on or off),
-//! each strategy *group* runs as a [`sat::PortfolioBackend`] worker set
-//! carrying its own [`sat::WorkerRole`] (diversification seed), and the
-//! first group to return a *proof* (an `Optimal` or `Unsat` answer)
-//! cancels the other through the shared [`sat::CancelToken`] chain.
+//! (how many linear workers, how many core-guided), each strategy
+//! *group* runs as a [`sat::PortfolioBackend`] worker set carrying its
+//! own [`sat::WorkerRole`] (diversification seed), and the first group
+//! to return a *proof* (an `Optimal` or `Unsat` answer) cancels the
+//! other through the shared [`sat::CancelToken`] chain.
 //! Small instances degenerate to a single inline linear search — no
-//! threads, no exchange, no race overhead at all.
+//! threads, no race overhead at all.
 //!
-//! Every bound in both strategies is passed as an **assumption**, never
-//! asserted as a clause, so each worker's clause database stays a
-//! conservative extension of the shared instance — which makes two kinds
-//! of cooperation sound: racing groups exchange learned clauses over the
-//! shared variable prefix ([`sat::SharingConfig::var_limit`]), and they
-//! exchange *bounds* through [`RaceBounds`] — the linear group receives
+//! Racing groups share no learned clauses; they cooperate only by
+//! exchanging *bounds* through [`RaceBounds`] — the linear group receives
 //! the core-guided group's proved lower bound (closing its final UNSAT
 //! call early), the core-guided group receives the incumbent cost
-//! (stopping once the incumbent provably meets its bound).
+//! (stopping once the incumbent provably meets its bound, and hardening
+//! softs against it).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,8 +39,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sat::{
-    ClauseExchange, ExchangePort, Lit, ResourceBudget, SatBackend, SearchStrategy, SharingConfig,
-    SolveResult, SolverTelemetry, Stats, WorkerRole,
+    Lit, ResourceBudget, SatBackend, SearchStrategy, SolveResult, SolverTelemetry, Stats,
+    WorkerRole,
 };
 
 use crate::dispatch::{DispatchPlan, CORE_ROLE_SEED};
@@ -120,10 +117,9 @@ const EXHAUST_CONFLICT_CAP: u64 = 100;
 
 /// The state every strategy searches over: the loaded solver, the soft
 /// indicators, the weight quantum, the armed budget, telemetry, and the
-/// best model seen so far. Building the context performs the shared
-/// encoding step (hard clauses + one indicator literal per soft clause),
-/// which is identical for every strategy — the precondition for racing
-/// strategies to exchange clauses over the shared variable prefix.
+/// best model seen so far. Building the context performs the encoding
+/// step every strategy shares (hard clauses + one indicator literal per
+/// soft clause).
 pub struct SearchContext<'a, B: SatBackend> {
     solver: B,
     instance: &'a WcnfInstance,
@@ -134,10 +130,6 @@ pub struct SearchContext<'a, B: SatBackend> {
     constant_cost: u64,
     /// Weight quantum the totalizers are built with (1 = exact).
     quantum: u64,
-    /// Variables shared by every strategy's encoding (instance variables
-    /// plus soft-clause relaxers); strategy-private totalizer variables
-    /// are allocated above this mark.
-    shared_vars: usize,
     budget: ResourceBudget,
     telemetry: SolverTelemetry,
     stats_base: Stats,
@@ -166,11 +158,6 @@ pub struct SearchContext<'a, B: SatBackend> {
     core_exhaustion: bool,
     core_hardening: bool,
     core_trim_probes: u32,
-    /// True once a cross-group clause exchange is attached: hardening
-    /// must stay off then — a hardened clause is only sound relative to
-    /// this search's incumbent, and lemmas derived from it must never
-    /// reach a peer group's conservative-extension clause database.
-    exchange_attached: bool,
     /// Cross-group bound exchange, attached only when this context races
     /// inside a heterogeneous worker plan; `None` leaves every bound
     /// check inert.
@@ -225,7 +212,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         // small; quantum 1 keeps the search exact.
         let total_weight: u64 = indicators.iter().map(|&(_, w)| w).sum();
         let quantum = (total_weight / options.totalizer_units.max(1)).max(1);
-        let shared_vars = solver.num_vars();
         let stats_base = *solver.stats();
 
         SearchContext {
@@ -234,7 +220,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             indicators,
             constant_cost,
             quantum,
-            shared_vars,
             budget,
             telemetry,
             stats_base,
@@ -254,7 +239,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             core_exhaustion: options.core_exhaustion,
             core_hardening: options.core_hardening,
             core_trim_probes: options.core_trim_probes,
-            exchange_attached: false,
             bounds: None,
         }
     }
@@ -292,7 +276,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             indicators: session.indicators,
             constant_cost: session.constant_cost,
             quantum: session.quantum,
-            shared_vars: session.shared_vars,
             budget,
             telemetry,
             stats_base,
@@ -312,7 +295,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             core_exhaustion: options.core_exhaustion,
             core_hardening: options.core_hardening,
             core_trim_probes: options.core_trim_probes,
-            exchange_attached: false,
             bounds: None,
         }
     }
@@ -331,7 +313,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             indicators: self.indicators,
             constant_cost: self.constant_cost,
             quantum: self.quantum,
-            shared_vars: self.shared_vars,
             strategy,
             totalizer: self.stashed_totalizer,
             oll_active: self.stashed_active,
@@ -365,12 +346,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// True once any model has been recorded.
     pub fn has_model(&self) -> bool {
         self.best_model.is_some()
-    }
-
-    /// Number of variables shared by every strategy's encoding; clauses
-    /// over this prefix may be exchanged between racing strategies.
-    pub fn shared_vars(&self) -> usize {
-        self.shared_vars
     }
 
     /// True once the armed budget has expired (or was cancelled).
@@ -425,16 +400,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             .iter()
             .map(|&(l, w)| (l, w.div_ceil(self.quantum)))
             .collect()
-    }
-
-    /// Wires the context's backend into a clause exchange (used by the
-    /// strategy race; single-threaded strategies never need it). Also
-    /// disables soft hardening for this search: a hardened clause is only
-    /// sound relative to this search's incumbent, and no lemma derived
-    /// from it may leak into a peer group's clause database.
-    pub fn attach_exchange(&mut self, port: ExchangePort) {
-        self.solver.set_clause_exchange(Some(port));
-        self.exchange_attached = true;
     }
 
     /// Wires the context into a cross-group bound exchange (used by
@@ -591,15 +556,15 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     ///
     /// Sound for the search's claim because hardening only excludes models
     /// whose quantized cost provably exceeds the incumbent's — every
-    /// quantized-optimal model survives. Disabled while a clause exchange
-    /// is attached (see [`SearchContext::attach_exchange`]).
+    /// quantized-optimal model survives. Gated by
+    /// [`SolveOptions::core_hardening`].
     pub fn harden(
         &mut self,
         paid: u64,
         active: &mut Vec<(Lit, u64)>,
         pending: &mut Vec<Vec<(Lit, u64)>>,
     ) -> u64 {
-        if !self.core_hardening || self.exchange_attached {
+        if !self.core_hardening {
             return 0;
         }
         let own = if self.best_model.is_some() {
@@ -729,10 +694,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         t.propagations = stats.propagations - base.propagations;
         t.restarts = stats.restarts - base.restarts;
         t.db_reductions = stats.reductions - base.reductions;
-        t.clauses_exported = stats.clauses_exported - base.clauses_exported;
-        t.clauses_imported = stats.clauses_imported - base.clauses_imported;
-        t.useful_imports = stats.useful_imports - base.useful_imports;
-        t.cross_call_imports = stats.cross_call_imports - base.cross_call_imports;
         t.compactions = stats.compactions - base.compactions;
         t.worker_panics = stats.worker_panics - base.worker_panics;
         // A gauge, not a counter: report the backend's current arena
@@ -780,7 +741,7 @@ pub trait Search {
 /// optimality. The bound is passed as a single *assumption* on the
 /// totalizer's smallest violated output (the ordering chain propagates the
 /// rest), never asserted as a clause — so the clause database stays a
-/// conservative extension of the instance and lemmas remain exchangeable.
+/// conservative extension of the instance and survives into warm resumes.
 pub struct LinearSatUnsat;
 
 impl Search for LinearSatUnsat {
@@ -1087,7 +1048,7 @@ impl Search for CoreGuided {
 ///
 /// Single-group plans (every worker running one strategy) execute
 /// *inline*: one [`SearchContext`] whose backend takes the whole group's
-/// width, no threads, no exchange — this is how small `Auto` requests
+/// width, no threads — this is how small `Auto` requests
 /// escape the race overhead entirely.
 ///
 /// Mixed plans race a linear group against a core-guided group within
@@ -1100,20 +1061,10 @@ impl Search for CoreGuided {
 /// diversified from [`CORE_ROLE_SEED`] — so fault injection and
 /// diagnostics can tell the groups apart.
 ///
-/// The groups cooperate two ways, both sound because bounds travel as
-/// assumptions and every clause database stays a conservative extension
-/// of the shared instance:
-///
-/// * when `plan.sharing` is on, both attach to one [`ClauseExchange`]
-///   restricted to the shared variable prefix, so instance-level lemmas
-///   learned while one strategy refutes its bound prune the other
-///   strategy's search too; a width-1 [`sat::PortfolioBackend`] rides
-///   the port on its primary, while wider groups keep their internal
-///   exchange as well;
-/// * a [`RaceBounds`] pair is always attached: the linear group closes
-///   early once its incumbent meets the core-guided group's proved lower
-///   bound, and the core-guided group stops once the shared incumbent
-///   provably meets its bound.
+/// The groups share no clauses; they cooperate through one
+/// [`RaceBounds`] pair: the linear group closes early once its incumbent
+/// meets the core-guided group's proved lower bound, and the core-guided
+/// group stops (and hardens softs) against the shared incumbent.
 pub(crate) fn run_plan<B: SatBackend + Default + Send>(
     instance: &WcnfInstance,
     budget: &ResourceBudget,
@@ -1132,33 +1083,6 @@ pub(crate) fn run_plan<B: SatBackend + Default + Send>(
 
     let armed = budget.arm();
     let (worker_budget, abort) = armed.cancellable();
-    // Both strategies encode the instance identically, so variables below
-    // this mark mean the same thing to both; totalizer variables above it
-    // are strategy-private and never cross.
-    let shared_vars = instance.num_vars()
-        + instance
-            .soft_clauses()
-            .iter()
-            .filter(|s| s.lits.len() >= 2)
-            .count();
-    // Assumption-heavy MaxSAT solving spreads learned clauses over many
-    // pseudo-decision levels, inflating LBD well past the portfolio
-    // default — so the groups' exchange accepts glue up to 8 and longer
-    // clauses (every export is still a consequence of the shared prefix).
-    // The dispatcher decides whether sharing pays at all.
-    let exchange = plan.sharing.then(|| {
-        Arc::new(ClauseExchange::new(
-            2,
-            SharingConfig {
-                lbd_max: 8,
-                max_len: 64,
-                var_limit: Some(shared_vars),
-                ..SharingConfig::default()
-            },
-        ))
-    });
-    // Bound exchange rides even when clause sharing is off: it is two
-    // atomics, free at any instance size.
     let bounds = Arc::new(RaceBounds::new());
     let first_proof: Mutex<Option<usize>> = Mutex::new(None);
 
@@ -1168,11 +1092,7 @@ pub(crate) fn run_plan<B: SatBackend + Default + Send>(
                width: usize| {
         let mut ctx = SearchContext::<B>::new(instance, &worker_budget, options);
         ctx.set_width(width);
-        debug_assert_eq!(ctx.shared_vars(), shared_vars);
         ctx.apply_role(&role);
-        if let Some(exchange) = &exchange {
-            ctx.attach_exchange(ExchangePort::new(exchange.clone(), group));
-        }
         ctx.attach_bounds(bounds.clone());
         let outcome = strategy(&mut ctx);
         if matches!(outcome.status, MaxSatStatus::Optimal | MaxSatStatus::Unsat) {
@@ -1199,7 +1119,6 @@ pub(crate) fn run_plan<B: SatBackend + Default + Send>(
                     WorkerRole {
                         label: "linear",
                         seed: 0,
-                        sharing: None,
                     },
                     plan.linear_width,
                 )
@@ -1214,7 +1133,6 @@ pub(crate) fn run_plan<B: SatBackend + Default + Send>(
                     WorkerRole {
                         label: "core-guided",
                         seed: CORE_ROLE_SEED,
-                        sharing: None,
                     },
                     plan.core_width,
                 )

@@ -2,13 +2,14 @@
 //! the first-proof-wins race must report identical optimal costs on random
 //! small weighted instances (exact search, quantum = 1), plus directed
 //! regressions on the pigeonhole placement family where the core-guided
-//! strategy must reach the proof in fewer SAT calls — and win the race
-//! with cross-call clause imports on the books.
+//! strategy must reach the proof in fewer SAT calls and win the race.
 
 use maxsat::{
     solve_with_options, MaxSatOutcome, MaxSatStatus, SearchStrategy, SolveOptions, WcnfInstance,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sat::{DefaultBackend, Lit, PortfolioBackend, ResourceBudget};
 
 /// Brute-force reference for small weighted instances: minimal falsified
@@ -267,9 +268,7 @@ fn add_weighted_pairs(inst: &mut WcnfInstance, pairs: usize) {
 }
 
 /// Appends one pigeonhole placement block over fresh variables, in the
-/// raw soft-row shape (each pigeon's row is itself the soft clause):
-/// learned clauses stay over the cell variables, which keeps them inside
-/// the racers' shared prefix and below the exchange's glue threshold.
+/// raw soft-row shape (each pigeon's row is itself the soft clause).
 fn add_placement_block(inst: &mut WcnfInstance, pigeons: usize, holes: usize) {
     let base = inst.num_vars();
     let cell = |p: usize, h: usize| sat::Var::new(base + p * holes + h).positive();
@@ -288,8 +287,7 @@ fn add_placement_block(inst: &mut WcnfInstance, pigeons: usize, holes: usize) {
 
 /// A *hard* satisfiable permutation block (n pigeons, n holes, rows and
 /// exclusivity all hard): every SAT call of every strategy must re-search
-/// it, so both racers keep publishing shared-prefix lemmas throughout the
-/// race — the traffic behind the cross-call-import acceptance probe.
+/// it.
 fn add_hard_permutation(inst: &mut WcnfInstance, n: usize) {
     let base = inst.num_vars();
     let cell = |p: usize, h: usize| sat::Var::new(base + p * n + h).positive();
@@ -307,17 +305,15 @@ fn add_hard_permutation(inst: &mut WcnfInstance, n: usize) {
 }
 
 #[test]
-fn race_on_pigeonhole_family_is_won_by_core_guided_with_cross_call_imports() {
+fn race_on_pigeonhole_family_is_won_by_core_guided() {
     // The acceptance probe: weighted exclusive pairs, two overfull
     // pigeonhole blocks, and a hard satisfiable permutation block.
     // Core-guided pays one propagation-cheap core per pair and one
     // refutation per block (order-of-magnitude faster than the linear
     // search's global weighted totalizer and joint counting proof,
     // measured ~35x in release and ~40x in debug), so it wins the race
-    // deterministically — and its later calls import lemmas published
-    // into the racers' shared exchange during earlier calls (nonzero
-    // cross-call imports; probed at 26-103 across repeated runs). Width 2
-    // splits into width-1 backends that ride the race-level exchange.
+    // deterministically. Width 2 splits into one width-1 backend per
+    // strategy group.
     let mut inst = WcnfInstance::new();
     add_weighted_pairs(&mut inst, 30);
     add_placement_block(&mut inst, 7, 6);
@@ -343,11 +339,6 @@ fn race_on_pigeonhole_family_is_won_by_core_guided_with_cross_call_imports() {
         "the core-guided racer must win the pair+placement race"
     );
     assert_eq!(out.telemetry.strategy, Some("core-guided"));
-    assert!(
-        out.telemetry.cross_call_imports > 0,
-        "later SAT calls must reuse lemmas exported during earlier ones: {}",
-        out.telemetry
-    );
 }
 
 /// The full acceptance-probe instance: weighted exclusive pairs, two
@@ -421,8 +412,8 @@ fn warm_started_stratified_solve_resumes_mid_stratum() {
 
 #[test]
 fn race_equals_linear_across_widths() {
-    // Same costs whether the race runs over serial backends or sharing
-    // portfolios — racing and sharing change the route, never the answer.
+    // Same costs whether the race runs over serial backends or
+    // portfolios — racing changes the route, never the answer.
     for pigeons in 3..=5usize {
         let inst = placement(pigeons, 3);
         let linear = solve_strategy(&inst, SearchStrategy::Linear);
@@ -437,4 +428,77 @@ fn race_equals_linear_across_widths() {
         assert_eq!(race.status, linear.status, "placement({pigeons}, 3)");
         assert_eq!(race.cost, linear.cost, "placement({pigeons}, 3)");
     }
+}
+
+/// A random weighted partial MaxSAT instance: random 2–3-literal hard
+/// clauses over `num_vars` variables, one unit soft per variable with
+/// pairwise-distinct weights (so the stratified core-guided path runs and
+/// its stratum-fold incumbents give hardening a gap to cut against), and
+/// a few weighted binary softs.
+fn random_weighted(rng: &mut StdRng, num_vars: usize) -> WcnfInstance {
+    let mut inst = WcnfInstance::new();
+    inst.reserve_vars(num_vars);
+    let lit = |rng: &mut StdRng| {
+        let v = sat::Var::new(rng.gen_range(0..num_vars));
+        if rng.gen_bool(0.5) {
+            v.positive()
+        } else {
+            !v.positive()
+        }
+    };
+    for _ in 0..rng.gen_range(num_vars..=2 * num_vars) {
+        let len = rng.gen_range(2usize..=3);
+        let clause: Vec<Lit> = (0..len).map(|_| lit(rng)).collect();
+        inst.add_hard(clause);
+    }
+    for v in 0..num_vars {
+        inst.add_soft(3 * v as u64 + 2, [sat::Var::new(v).positive()]);
+    }
+    for _ in 0..rng.gen_range(0usize..=3) {
+        let w = rng.gen_range(1u64..=40);
+        let clause = [lit(rng), lit(rng)];
+        inst.add_soft(w, clause);
+    }
+    inst
+}
+
+#[test]
+fn weighted_races_harden_and_match_the_serial_optima() {
+    // Inside a race the core-guided group hardens softs against the
+    // better of its own and its peer's incumbent. Neither may cost an
+    // answer: every race at width 2 must return the optimum both serial
+    // strategies prove, and the generated cases must actually exercise
+    // hardening inside a race.
+    let mut rng = StdRng::seed_from_u64(0x5EED_4A2D);
+    let race_options = SolveOptions::default()
+        .with_totalizer_units(u64::MAX)
+        .with_strategy(SearchStrategy::Race)
+        .with_parallelism(maxsat::Parallelism::Width(2));
+    let mut hardening_races = 0;
+    for case in 0..48 {
+        let inst = random_weighted(&mut rng, 6 + case % 7);
+        let linear = solve_strategy(&inst, SearchStrategy::Linear);
+        let core = solve_strategy(&inst, SearchStrategy::CoreGuided);
+        assert_eq!(linear.status, core.status, "case {case}");
+        assert_eq!(linear.cost, core.cost, "case {case}");
+        let race = solve_with_options::<PortfolioBackend<DefaultBackend>>(
+            &inst,
+            &ResourceBudget::unlimited(),
+            &race_options,
+        );
+        assert_eq!(race.status, core.status, "case {case}: {}", race.telemetry);
+        assert_eq!(race.cost, core.cost, "case {case}: {}", race.telemetry);
+        if let Some(model) = &race.model {
+            assert_eq!(inst.cost_of(model), race.cost, "case {case}");
+        }
+        assert_eq!(race.telemetry.dispatch_mix, Some("linear+core-guided"));
+        if race.telemetry.hardened_softs > 0 {
+            hardening_races += 1;
+        }
+    }
+    eprintln!("races that hardened: {hardening_races} of 48");
+    assert!(
+        hardening_races > 0,
+        "no generated race hardened a soft; the case no longer covers hardening"
+    );
 }

@@ -1,8 +1,8 @@
 //! Chaos suite: seeded fault injection against the routing supervisor.
 //!
 //! Every scenario installs a deterministic [`FaultPlan`] (spurious
-//! cancellations, artificial slowdowns, worker panics, dropped exchange
-//! imports) under the supervisor's SAT stack and checks the soundness
+//! cancellations, artificial slowdowns, worker panics) under the
+//! supervisor's SAT stack and checks the soundness
 //! contract end to end:
 //!
 //! * every request returns an outcome — solved or a typed failure, never a
@@ -156,8 +156,7 @@ fn sixty_four_seeded_fault_scenarios_stay_sound() {
             let plan = FaultPlan::seeded(seed)
                 .cancel_prob(0.35)
                 .panic_prob(0.20)
-                .delay_with(0.25, Duration::from_micros(200))
-                .drop_import_prob(0.30);
+                .delay_with(0.25, Duration::from_micros(200));
             run_scenario(c, g, baseline, plan, 1 + (i % 3) as usize);
         }
     }
@@ -223,7 +222,6 @@ proptest! {
         fault_seed in 0u64..u64::MAX,
         cancel_pct in 0u32..60,
         panic_pct in 0u32..40,
-        drop_pct in 0u32..50,
         width in 1usize..=3,
     ) {
         let c = circuit::generators::random_local(qubits, gates, 3, 0.1, circuit_seed);
@@ -232,8 +230,7 @@ proptest! {
         let plan = FaultPlan::seeded(fault_seed)
             .cancel_prob(f64::from(cancel_pct) / 100.0)
             .panic_prob(f64::from(panic_pct) / 100.0)
-            .delay_with(0.2, Duration::from_micros(100))
-            .drop_import_prob(f64::from(drop_pct) / 100.0);
+            .delay_with(0.2, Duration::from_micros(100));
         run_scenario(&c, &g, baseline, plan, width);
     }
 }

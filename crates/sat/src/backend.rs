@@ -18,7 +18,6 @@
 
 use crate::budget::ResourceBudget;
 use crate::config::SolverConfig;
-use crate::exchange::ExchangePort;
 use crate::lit::{Lit, Var};
 use crate::solver::{SolveResult, Solver};
 use crate::stats::Stats;
@@ -72,9 +71,8 @@ pub trait SatBackend: ClauseSink {
 
     /// Assigns this backend a worker-plan role (see
     /// [`crate::WorkerRole`]): a strategy group in a heterogeneous
-    /// portfolio applies its diversification seed — and, for backends
-    /// that share clauses, an optional sharing override — before
-    /// solving. The default rebases the backend's configuration on the
+    /// portfolio applies its diversification seed before solving. The
+    /// default rebases the backend's configuration on the
     /// role seed via [`SatBackend::configure`], which also gives
     /// fault-injection wrappers a stable per-role tag to target.
     fn set_worker_role(&mut self, role: &crate::WorkerRole) {
@@ -84,30 +82,13 @@ pub trait SatBackend: ClauseSink {
         });
     }
 
-    /// Attaches this backend to a portfolio clause exchange (or detaches
-    /// it with `None`): while attached, the backend may export learned
-    /// clauses and import peers'. The default is a no-op, so backends
-    /// without clause-sharing support simply race without cooperating.
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        let _ = port;
-    }
-
-    /// Detaches and returns the previously attached exchange port, if the
-    /// backend kept one. Ports keep their read cursors and dedup state, so
-    /// re-attaching later resumes the exchange where it left off — the
-    /// hook behind cross-call clause reuse. The default returns `None`
-    /// (matching the default no-op `set_clause_exchange`).
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        None
-    }
-
     /// Number of variables created so far.
     fn num_vars(&self) -> usize;
 
     /// Number of problem clauses loaded so far. Advisory: backends that do
     /// not track a clause count may return 0. Consumers use
     /// `num_vars() + num_clauses()` as the instance-size signal behind the
-    /// small-instance sharing and portfolio gates.
+    /// small-instance portfolio gate.
     fn num_clauses(&self) -> usize {
         0
     }
@@ -180,14 +161,6 @@ impl SatBackend for Solver {
         Solver::set_config(self, *config);
     }
 
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        Solver::set_clause_exchange(self, port);
-    }
-
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        Solver::take_clause_exchange(self)
-    }
-
     fn num_vars(&self) -> usize {
         Solver::num_vars(self)
     }
@@ -199,11 +172,7 @@ impl SatBackend for Solver {
     fn snapshot(&self) -> Option<Self> {
         // The flat clause arena makes this a set of contiguous memcpys
         // (~5.5x cheaper than re-emitting clauses, per `arena/*` benches).
-        // Any attached exchange port is dropped: a cloned port would
-        // duplicate its single-producer export slot.
-        let mut snap = self.clone();
-        Solver::set_clause_exchange(&mut snap, None);
-        Some(snap)
+        Some(self.clone())
     }
 
     fn reserve_vars(&mut self, n: usize) {

@@ -2,8 +2,8 @@
 //!
 //! [`ChaosBackend<B>`] wraps any [`SatBackend`] and perturbs it according
 //! to a seeded [`FaultPlan`]: spurious cancellations (a solve call returns
-//! `Unknown` without searching), artificial slowdowns, worker panics, and
-//! dropped clause-exchange attachments. Every fault draw comes from a
+//! `Unknown` without searching), artificial slowdowns and worker panics.
+//! Every fault draw comes from a
 //! splitmix64 stream seeded by the plan, so a failing scenario replays
 //! bit-for-bit from its seed.
 //!
@@ -16,10 +16,7 @@
 //! * a slowdown only burns wall-clock, pushing the caller toward its own
 //!   deadline handling;
 //! * a panic unwinds the worker thread; the portfolio retires the worker
-//!   and races on ([`crate::PortfolioBackend`]);
-//! * a dropped exchange port only withholds imported lemmas, which are
-//!   consequences of the shared formula — losing them costs time, not
-//!   correctness.
+//!   and races on ([`crate::PortfolioBackend`]).
 //!
 //! Consequently any outcome a chaos-wrapped stack *does* prove (`Sat`,
 //! `Unsat`, a MaxSAT optimum) is as trustworthy as one from the plain
@@ -55,7 +52,6 @@ use std::time::Duration;
 use crate::backend::{ClauseSink, SatBackend};
 use crate::budget::{unit_draw, ResourceBudget};
 use crate::config::SolverConfig;
-use crate::exchange::ExchangePort;
 use crate::lit::{Lit, Var};
 use crate::solver::SolveResult;
 use crate::stats::Stats;
@@ -84,9 +80,6 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Length of an injected slowdown.
     pub delay: Duration,
-    /// Probability an exchange-port attachment is silently dropped (the
-    /// worker then races without importing peers' lemmas).
-    pub drop_import_prob: f64,
     /// Deterministic targeting: a worker whose diversified config seed
     /// equals this tag panics on its next solve call regardless of
     /// `panic_prob` — the knob behind "exactly one racer dies" tests.
@@ -102,7 +95,6 @@ impl Default for FaultPlan {
             cancel_prob: 0.0,
             delay_prob: 0.0,
             delay: Duration::from_millis(1),
-            drop_import_prob: 0.0,
             panic_tag: None,
         }
     }
@@ -138,12 +130,6 @@ impl FaultPlan {
         self
     }
 
-    /// Returns a copy with the exchange-drop probability set.
-    pub fn drop_import_prob(mut self, p: f64) -> Self {
-        self.drop_import_prob = p;
-        self
-    }
-
     /// Returns a copy targeting the worker whose diversified config seed is
     /// `tag` for a guaranteed panic (see [`FaultPlan::panic_tag`]).
     pub fn panic_tag(mut self, tag: u64) -> Self {
@@ -156,7 +142,6 @@ impl FaultPlan {
         self.panic_prob == 0.0
             && self.cancel_prob == 0.0
             && self.delay_prob == 0.0
-            && self.drop_import_prob == 0.0
             && self.panic_tag.is_none()
     }
 }
@@ -295,24 +280,6 @@ impl<B: SatBackend> SatBackend for ChaosBackend<B> {
 
     fn set_portfolio_width(&mut self, width: usize) {
         self.inner.set_portfolio_width(width);
-    }
-
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        // A dropped attachment starves this worker of imports — lemmas it
-        // would only ever *gain* pruning from — so the race gets slower,
-        // never wrong.
-        if port.is_some() && self.plan.drop_import_prob > 0.0 {
-            let roll = self.draw();
-            if roll < self.plan.drop_import_prob {
-                self.inner.set_clause_exchange(None);
-                return;
-            }
-        }
-        self.inner.set_clause_exchange(port);
-    }
-
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        self.inner.take_clause_exchange()
     }
 
     fn num_vars(&self) -> usize {
@@ -495,25 +462,6 @@ mod tests {
         trivially_sat(&mut clean);
         assert_eq!(
             clean.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Sat
-        );
-    }
-
-    #[test]
-    fn dropped_exchange_attachment_only_withholds_imports() {
-        use crate::exchange::{ClauseExchange, SharingConfig};
-        use std::sync::Arc;
-        let exchange = Arc::new(ClauseExchange::new(2, SharingConfig::default()));
-        let mut c = Chaotic::with_plan(FaultPlan::seeded(2).drop_import_prob(1.0));
-        trivially_sat(&mut c);
-        c.set_clause_exchange(Some(ExchangePort::new(exchange, 0)));
-        assert!(
-            c.take_clause_exchange().is_none(),
-            "the attachment must have been dropped"
-        );
-        // The worker still answers correctly without the exchange.
-        assert_eq!(
-            c.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
             SolveResult::Sat
         );
     }

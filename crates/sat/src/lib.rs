@@ -14,9 +14,6 @@
 //! * VSIDS decision heuristic with phase saving,
 //! * first-UIP conflict analysis with clause minimization,
 //! * Luby restarts and activity/LBD-guided learned-clause reduction,
-//! * portfolio clause sharing: bounded lock-free export channels
-//!   ([`ClauseExchange`]) carry low-LBD learned clauses between racing
-//!   workers, imported at restart boundaries,
 //! * incremental solving under assumptions with UNSAT-core extraction,
 //! * cooperative deadline-based budgets ([`ResourceBudget`]) for anytime
 //!   callers — nested calls inherit and can never overshoot a parent's
@@ -25,7 +22,8 @@
 //!   over the solver implementation,
 //! * deterministic search diversification ([`SolverConfig`]) and a
 //!   multi-threaded portfolio backend ([`PortfolioBackend`]) racing
-//!   diversified workers to the first definitive answer,
+//!   diversified workers, which share no learned clauses, to the first
+//!   definitive answer,
 //! * solver-effort accounting ([`SolverTelemetry`]) that higher layers
 //!   aggregate and report,
 //! * DIMACS CNF input/output ([`dimacs`]).
@@ -53,7 +51,6 @@ pub mod chaos;
 mod clause;
 pub mod config;
 pub mod dimacs;
-pub mod exchange;
 mod hint;
 mod lit;
 mod order;
@@ -68,7 +65,6 @@ pub use budget::{CancelRegistry, CancelToken, ResourceBudget};
 pub use chaos::{ChaosBackend, FaultPlan};
 pub use clause::ClauseRef;
 pub use config::{PhaseInit, SolverConfig};
-pub use exchange::{ClauseExchange, ExchangePort, SharingConfig, DEFAULT_MIN_INSTANCE_SIZE};
 pub use hint::{Parallelism, SearchStrategy};
 pub use lit::{LBool, Lit, Var};
 pub use portfolio::{auto_width, PortfolioBackend, WorkerRole, MAX_AUTO_WIDTH};

@@ -1,5 +1,5 @@
-//! Diversified portfolio solving with clause sharing: runtime-sized
-//! worker races on arena clones of the formula.
+//! Diversified portfolio solving: runtime-sized worker races on arena
+//! clones of the formula.
 //!
 //! [`PortfolioBackend<B>`] wraps a runtime-chosen number of instances of
 //! any [`SatBackend`] and implements [`SatBackend`] itself, so it drops
@@ -14,38 +14,8 @@
 //! definitive** `Sat`/`Unsat` answer, and cancels the peers through a
 //! [`crate::CancelToken`] child of the caller's budget — so cancelling the
 //! caller's budget still tears down every worker, and a worker can never
-//! outlive the budget it descended from.
-//!
-//! During a race the workers *cooperate*: each exports learned clauses
-//! with LBD at or below [`SharingConfig::lbd_max`] into its bounded
-//! lock-free channel of the shared [`ClauseExchange`] and imports its
-//! peers' clauses at restart boundaries (with dedup and per-drain caps).
-//! Shared clauses are logical consequences of the common formula, so
-//! answers are unchanged — only the wall-clock route to them shortens.
-//! Sharing is on by default; [`PortfolioBackend::set_sharing`] disables it
-//! and [`PortfolioBackend::set_sharing_config`] tunes the thresholds.
-//! Small formulas skip the exchange entirely: below
-//! [`SharingConfig::min_instance_size`] (variables + clauses) the
-//! per-restart drain overhead costs more than the pruning pays, so the
-//! workers race without cooperating. Set the knob to 0 to share always.
-//!
-//! **The exchange persists across solve calls.** One `ClauseExchange`
-//! lives as long as the portfolio (rotated only on saturation or a width
-//! change), and worker ports are taken back after each race with their
-//! cursors and dedup state intact — so refutation lemmas published during
-//! an earlier call are imported by later calls (`cross-call reuse`,
-//! counted in [`crate::Stats::cross_call_imports`]). This is sound because
-//! the loaded formula only ever grows: a lemma implied by yesterday's
-//! clause set is implied by today's superset. Rebuilt peers resume from
-//! the primary's cursors (their arena clone already contains everything
-//! the primary imported).
-//!
-//! **Sharing thresholds adapt per instance.** The solver marks imported
-//! clauses in the arena and credits the ones that later join a conflict
-//! ([`crate::Stats::useful_imports`]); between races the portfolio feeds
-//! that yield into [`SharingConfig::adapted`], tightening
-//! `lbd_max`/`import_cap` when imports are dead weight and loosening them
-//! when they pay — the throttling scheme of modern portfolio solvers.
+//! outlive the budget it descended from. Workers race independently: they
+//! share no learned clauses, only the cancellation.
 //!
 //! The worker count (*width*) is a runtime value, not a type parameter:
 //! [`PortfolioBackend::with_width`] picks it explicitly (e.g.
@@ -77,12 +47,11 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::backend::{ClauseSink, DefaultBackend, SatBackend};
 use crate::budget::ResourceBudget;
 use crate::config::SolverConfig;
-use crate::exchange::{ClauseExchange, ExchangePort, SharingConfig};
 use crate::lit::{Lit, Var};
 use crate::solver::SolveResult;
 use crate::stats::Stats;
@@ -110,14 +79,12 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The role a worker slot plays in a heterogeneous worker plan: instead
 /// of assuming N clones of one strategy, each strategy *group* of the
-/// plan carries its own diversification seed (and optionally its own
-/// sharing thresholds) so groups are distinguishable — by the
-/// diversified presets they derive, by fault-injection tags, and in
-/// diagnostics.
+/// plan carries its own diversification seed so groups are
+/// distinguishable — by the diversified presets they derive, by
+/// fault-injection tags, and in diagnostics.
 ///
-/// Applied through [`crate::SatBackend::set_worker_role`]; the default
-/// implementation folds the seed into the backend's configuration, and
-/// [`PortfolioBackend`] additionally installs the sharing override.
+/// Applied through [`crate::SatBackend::set_worker_role`], which folds
+/// the seed into the backend's configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkerRole {
     /// Stable label of the group (e.g. `"linear"`, `"core-guided"`) for
@@ -126,13 +93,9 @@ pub struct WorkerRole {
     /// Diversification seed the group's workers derive their presets
     /// from (seed 0 keeps the historical base configuration).
     pub seed: u64,
-    /// Sharing thresholds for the group's internal exchange; `None`
-    /// keeps the backend's current configuration.
-    pub sharing: Option<SharingConfig>,
 }
 
-/// A portfolio of diversified [`SatBackend`] workers racing — and sharing
-/// learned clauses — per call.
+/// A portfolio of diversified [`SatBackend`] workers racing per call.
 ///
 /// Formula loading targets one primary worker; peers are arena clones
 /// taken at solve time, so the width can be changed at any point via
@@ -160,27 +123,6 @@ pub struct PortfolioBackend<B: SatBackend = DefaultBackend> {
     /// Base configuration applied to the primary; peers derive their
     /// diversified presets from its seed. Survives width changes.
     base_config: SolverConfig,
-    /// Whether workers exchange learned clauses during races.
-    sharing_enabled: bool,
-    /// Base thresholds and capacities of the clause exchange (what
-    /// [`PortfolioBackend::set_sharing_config`] installed).
-    sharing: SharingConfig,
-    /// Effective thresholds after per-instance adaptation (reset to
-    /// `sharing` whenever the base config is replaced).
-    tuned: SharingConfig,
-    /// `(clauses_imported, useful_imports)` totals at the last adaptation,
-    /// so each adaptation judges only the traffic since the previous one.
-    adapt_mark: (u64, u64),
-    /// The exchange persisted across races (rotated on saturation or a
-    /// width change), and the worker ports taken back after each race.
-    exchange: Option<Arc<ClauseExchange>>,
-    ports: Vec<ExchangePort>,
-    /// A port handed to this portfolio from the *outside* (e.g. the MaxSAT
-    /// strategy race wiring two backends together). Attached to the
-    /// primary around width-1 solves; parked while an internal race runs,
-    /// since a worker can hold only one port and the internal exchange
-    /// takes precedence.
-    external: Option<ExchangePort>,
     /// Per-worker counters merged after every race, plus the last winner.
     merged: Stats,
     /// Index of the worker whose model/core answer the accessors serve.
@@ -217,13 +159,6 @@ impl<B: SatBackend + Default> PortfolioBackend<B> {
             width,
             peers_synced: false,
             base_config: SolverConfig::default(),
-            sharing_enabled: true,
-            sharing: SharingConfig::default(),
-            tuned: SharingConfig::default(),
-            adapt_mark: (0, 0),
-            exchange: None,
-            ports: Vec::new(),
-            external: None,
             merged: Stats::default(),
             winner: 0,
             wins: vec![0; width],
@@ -253,41 +188,6 @@ impl<B: SatBackend> PortfolioBackend<B> {
     /// The worker all clause/variable traffic is loaded into.
     pub fn primary(&self) -> &B {
         &self.primary
-    }
-
-    /// Enables or disables learned-clause sharing between racing workers
-    /// (enabled by default). Answers are identical either way; sharing
-    /// only changes how fast the race converges.
-    pub fn set_sharing(&mut self, enabled: bool) {
-        self.sharing_enabled = enabled;
-    }
-
-    /// Whether racing workers exchange learned clauses.
-    pub fn sharing(&self) -> bool {
-        self.sharing_enabled
-    }
-
-    /// Replaces the clause-sharing thresholds (LBD/length filters, queue
-    /// capacity, per-restart import cap). Resets any per-instance adaptive
-    /// tuning and retires the current exchange (capacity is baked into its
-    /// queues), so the next race starts fresh under the new config.
-    pub fn set_sharing_config(&mut self, config: SharingConfig) {
-        self.sharing = config;
-        self.tuned = config;
-        self.exchange = None;
-        self.ports.clear();
-    }
-
-    /// The base clause-sharing thresholds (as installed; see
-    /// [`PortfolioBackend::tuned_sharing_config`] for the adapted values).
-    pub fn sharing_config(&self) -> &SharingConfig {
-        &self.sharing
-    }
-
-    /// The thresholds currently in force after per-instance adaptation
-    /// ([`SharingConfig::adapted`] applied to the observed import yield).
-    pub fn tuned_sharing_config(&self) -> &SharingConfig {
-        &self.tuned
     }
 
     /// The worker whose model/core the accessors currently serve.
@@ -346,10 +246,6 @@ impl<B: SatBackend> PortfolioBackend<B> {
         decided: Option<(usize, SolveResult)>,
     ) -> Option<(usize, SolveResult)> {
         self.retired.worker_panics += crashed.len() as u64;
-        // Crashed workers may have died holding their exchange port; the
-        // next race starts a fresh exchange rather than guess at cursors.
-        self.ports.clear();
-        self.exchange = None;
         if crashed.contains(&0) {
             let keep = match decided {
                 Some((i, _)) if i > 0 => Some(i),
@@ -406,12 +302,10 @@ impl<B: SatBackend + Default + Clone> PortfolioBackend<B> {
     /// or the width changed since the last race. For the bundled solver
     /// the clone is a flat-buffer `memcpy` per peer — the whole point of
     /// the arena — instead of re-emitting every clause `width - 1` times.
-    /// Returns `true` when the peers were actually rebuilt (their exchange
-    /// ports must then be re-derived from the primary's).
-    fn sync_peers(&mut self) -> bool {
+    fn sync_peers(&mut self) {
         let target = self.width - 1;
         if self.peers_synced && self.peers.len() == target {
-            return false;
+            return;
         }
         // Retire outgoing peers' own effort so merged totals stay
         // monotone (their arena memory is gone, so the gauge resets).
@@ -436,61 +330,6 @@ impl<B: SatBackend + Default + Clone> PortfolioBackend<B> {
             self.peers.push(peer);
         }
         self.peers_synced = true;
-        true
-    }
-
-    /// Ensures a live exchange and one port per worker before a sharing
-    /// race: adapts the thresholds from the import yield observed so far,
-    /// rotates the exchange when it is saturated (or the width changed),
-    /// and re-derives rebuilt peers' ports from the primary's cursors.
-    fn prepare_ports(&mut self, peers_rebuilt: bool) {
-        // Per-instance adaptation: judge the traffic since the last mark.
-        let imported = self.merged.clauses_imported;
-        let useful = self.merged.useful_imports;
-        let (mark_imported, mark_useful) = self.adapt_mark;
-        if imported - mark_imported >= SharingConfig::ADAPT_SAMPLE {
-            self.tuned = self
-                .tuned
-                .adapted(imported - mark_imported, useful - mark_useful);
-            self.adapt_mark = (imported, useful);
-        }
-
-        let rebuild = match &self.exchange {
-            Some(ex) => {
-                ex.num_workers() != self.width
-                    || self.ports.len() != self.width
-                    || ex.is_saturated()
-            }
-            None => true,
-        };
-        if rebuild {
-            let ex = Arc::new(ClauseExchange::new(self.width, self.sharing));
-            // Keep the primary's dedup knowledge across the rotation so
-            // already-imported clauses are not taken twice.
-            let template = self.ports.first().cloned();
-            self.ports = (0..self.width)
-                .map(|i| match &template {
-                    Some(t) => t.rebind(ex.clone(), i),
-                    None => ExchangePort::new(ex.clone(), i),
-                })
-                .collect();
-            self.exchange = Some(ex);
-        } else if peers_rebuilt {
-            // Rebuilt peers are clones of the primary: they already hold
-            // everything it imported, so they resume from its cursors.
-            let primary_port = self.ports[0].clone();
-            for i in 1..self.width {
-                self.ports[i] = primary_port.for_worker(i);
-            }
-        }
-        for port in &mut self.ports {
-            port.retune(self.tuned);
-            // One boundary for the whole race, taken before any worker
-            // starts: workers then classify cross-call imports against the
-            // same cut instead of each snapshotting mid-race (which would
-            // count a faster peer's same-call exports as carried).
-            port.mark_call_boundary();
-        }
     }
 }
 
@@ -529,17 +368,6 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             ..self.base_config
         };
         self.configure(&config);
-        if let Some(sharing) = role.sharing {
-            self.set_sharing_config(sharing);
-        }
-    }
-
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        self.external = port;
-    }
-
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        self.external.take()
     }
 
     fn set_portfolio_width(&mut self, width: usize) {
@@ -597,13 +425,6 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             width: self.width,
             peers_synced: false,
             base_config: self.base_config,
-            sharing_enabled: self.sharing_enabled,
-            sharing: self.sharing,
-            tuned: self.tuned,
-            adapt_mark: self.adapt_mark,
-            exchange: None,
-            ports: Vec::new(),
-            external: None,
             merged,
             winner: 0,
             wins: vec![0; self.width],
@@ -634,14 +455,9 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
         }
 
         // Width 1: no race to run — solve inline on the calling thread.
-        // An externally provided port (a strategy race wiring backends
-        // together) rides on the primary for the call, cursors preserved.
         // The panic guard degrades a crashing worker to `Unknown` and
         // poisons the portfolio (there is no peer to promote).
         if self.width == 1 {
-            if let Some(port) = self.external.take() {
-                self.primary.set_clause_exchange(Some(port));
-            }
             let primary = &mut self.primary;
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 primary.solve_under_assumptions(assumptions, budget)
@@ -649,11 +465,9 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             let Ok(result) = outcome else {
                 self.retired.worker_panics += 1;
                 self.poisoned = true;
-                self.external = None;
                 self.refresh_stats(None);
                 return SolveResult::Unknown;
             };
-            self.external = self.primary.take_clause_exchange();
             if matches!(result, SolveResult::Sat | SolveResult::Unsat) {
                 self.winner = 0;
                 self.wins[0] += 1;
@@ -664,22 +478,7 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             return result;
         }
 
-        let peers_rebuilt = self.sync_peers();
-        // The exchange outlives the race: ports keep their cursors and
-        // dedup state between calls, so lemmas published during an earlier
-        // solve call are imported by this one (cross-call reuse). Small
-        // instances skip it: on them the drain overhead exceeds the
-        // pruning benefit, so the workers race without cooperating.
-        let instance_size = self.primary.num_vars() + self.primary.num_clauses();
-        let share = self.sharing_enabled && instance_size >= self.sharing.min_instance_size;
-        if share {
-            self.prepare_ports(peers_rebuilt);
-            let mut ports = std::mem::take(&mut self.ports).into_iter();
-            self.primary.set_clause_exchange(ports.next());
-            for peer in self.peers.iter_mut() {
-                peer.set_clause_exchange(ports.next());
-            }
-        }
+        self.sync_peers();
 
         // Arm once so every worker shares the same absolute deadline, then
         // derive the race token as a child of any inherited token: the
@@ -718,27 +517,6 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
                 });
             }
         });
-
-        // Take the ports back with their read positions intact; the next
-        // race re-attaches them so the exchange spans calls. A backend
-        // that cannot return its port (the trait default) retires the
-        // exchange — the next race simply starts a fresh one.
-        if share {
-            let mut ports = Vec::with_capacity(self.width);
-            let workers = std::iter::once(&mut self.primary).chain(self.peers.iter_mut());
-            for worker in workers {
-                match worker.take_clause_exchange() {
-                    Some(port) => ports.push(port),
-                    None => break,
-                }
-            }
-            if ports.len() == self.width {
-                self.ports = ports;
-            } else {
-                self.ports.clear();
-                self.exchange = None;
-            }
-        }
 
         let mut decided = first
             .into_inner()
@@ -795,15 +573,6 @@ mod tests {
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
-    }
-
-    /// Drops the small-instance gate so the pigeonhole tests (all far
-    /// below the default threshold) exercise the exchange machinery.
-    fn share_always(p: &mut Portfolio) {
-        p.set_sharing_config(SharingConfig {
-            min_instance_size: 0,
-            ..SharingConfig::default()
-        });
     }
 
     /// Pigeonhole clauses: `pigeons` into `holes` (UNSAT iff pigeons > holes).
@@ -874,167 +643,6 @@ mod tests {
             p.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
             SolveResult::Unsat
         );
-    }
-
-    #[test]
-    fn sharing_on_and_off_agree_on_pigeonhole_family() {
-        // Clause sharing must never change an answer, only (possibly) the
-        // route to it — shared clauses are consequences of the formula.
-        for pigeons in 3..=5usize {
-            let mut on = Portfolio::with_width(4);
-            assert!(on.sharing());
-            share_always(&mut on);
-            pigeonhole(&mut on, pigeons, pigeons - 1);
-            let mut off = Portfolio::with_width(4);
-            off.set_sharing(false);
-            pigeonhole(&mut off, pigeons, pigeons - 1);
-            let unlimited = ResourceBudget::unlimited();
-            assert_eq!(
-                on.solve_under_assumptions(&[], &unlimited),
-                SolveResult::Unsat,
-                "PHP({pigeons},{}) with sharing",
-                pigeons - 1
-            );
-            assert_eq!(
-                off.solve_under_assumptions(&[], &unlimited),
-                SolveResult::Unsat,
-                "PHP({pigeons},{}) without sharing",
-                pigeons - 1
-            );
-            assert_eq!(
-                off.stats().clauses_imported,
-                0,
-                "sharing off must not import"
-            );
-        }
-        // And a satisfiable instance: both sides say SAT.
-        let build = |p: &mut Portfolio| {
-            let a = ClauseSink::new_var(p).positive();
-            let b = ClauseSink::new_var(p).positive();
-            SatBackend::add_clause(p, &[a, b]);
-            SatBackend::add_clause(p, &[!a, b]);
-        };
-        let mut on = Portfolio::with_width(3);
-        build(&mut on);
-        let mut off = Portfolio::with_width(3);
-        off.set_sharing(false);
-        build(&mut off);
-        let unlimited = ResourceBudget::unlimited();
-        assert_eq!(
-            on.solve_under_assumptions(&[], &unlimited),
-            SolveResult::Sat
-        );
-        assert_eq!(
-            off.solve_under_assumptions(&[], &unlimited),
-            SolveResult::Sat
-        );
-    }
-
-    #[test]
-    fn pigeonhole_race_imports_shared_clauses() {
-        // The cooperation signal itself: on a conflict-heavy UNSAT race
-        // the workers must actually move clauses through the exchange.
-        let mut p = Portfolio::with_width(4);
-        share_always(&mut p);
-        pigeonhole(&mut p, 7, 6);
-        assert_eq!(
-            p.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-        let stats = *p.stats();
-        assert!(
-            stats.clauses_exported > 0,
-            "workers must export low-LBD clauses: {stats}"
-        );
-        assert!(
-            stats.clauses_imported > 0,
-            "workers must import peers' clauses: {stats}"
-        );
-    }
-
-    #[test]
-    fn exchange_persists_across_solve_calls() {
-        // PHP(7,6) behind a selector: each assumption solve is a fresh
-        // conflict-heavy race that leaves lemmas in the export queues, and
-        // the next call's entry drain must pick the leftovers up as
-        // cross-call imports (the exchange is no longer per-race).
-        let mut p = Portfolio::with_width(4);
-        share_always(&mut p);
-        let pigeons = 7usize;
-        let holes = 6usize;
-        p.reserve_vars(pigeons * holes + 1);
-        let s = lit((pigeons * holes + 1) as i64);
-        let var = |pp: usize, h: usize| lit((pp * holes + h + 1) as i64);
-        for pp in 0..pigeons {
-            let mut row: Vec<Lit> = (0..holes).map(|h| var(pp, h)).collect();
-            row.push(s); // selector keeps the formula satisfiable at root
-            SatBackend::add_clause(&mut p, &row);
-        }
-        for h in 0..holes {
-            for p1 in 0..pigeons {
-                for p2 in (p1 + 1)..pigeons {
-                    SatBackend::add_clause(&mut p, &[!var(p1, h), !var(p2, h)]);
-                }
-            }
-        }
-        let unlimited = ResourceBudget::unlimited();
-        for _ in 0..3 {
-            assert_eq!(
-                p.solve_under_assumptions(&[!s], &unlimited),
-                SolveResult::Unsat
-            );
-        }
-        let stats = *p.stats();
-        assert!(stats.clauses_imported > 0, "{stats}");
-        assert!(
-            stats.cross_call_imports > 0,
-            "a later call must import lemmas exported during an earlier \
-             one through the persistent exchange: {stats}"
-        );
-        assert!(
-            stats.useful_imports <= stats.clauses_imported,
-            "usefulness counts each import at most once: {stats}"
-        );
-        // The satisfiable side still answers (imports are consequences).
-        assert_eq!(
-            p.solve_under_assumptions(&[s], &unlimited),
-            SolveResult::Sat
-        );
-    }
-
-    #[test]
-    fn external_port_rides_on_width_one_portfolios() {
-        // Two width-1 portfolios wired together from the outside (the
-        // MaxSAT strategy race's shape): lemmas must flow between them
-        // through the externally provided exchange.
-        use crate::exchange::{ClauseExchange, ExchangePort};
-        let exchange = Arc::new(ClauseExchange::new(2, SharingConfig::default()));
-        let mut exporter = Portfolio::with_width(1);
-        pigeonhole(&mut exporter, 5, 4);
-        exporter.set_clause_exchange(Some(ExchangePort::new(exchange.clone(), 0)));
-        assert_eq!(
-            exporter.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-        assert!(
-            exporter.stats().clauses_exported > 0,
-            "width-1 portfolio must export through the external port: {}",
-            exporter.stats()
-        );
-        let mut importer = Portfolio::with_width(1);
-        pigeonhole(&mut importer, 5, 4);
-        importer.set_clause_exchange(Some(ExchangePort::new(exchange, 1)));
-        assert_eq!(
-            importer.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-        assert!(
-            importer.stats().clauses_imported > 0,
-            "width-1 portfolio must import through the external port: {}",
-            importer.stats()
-        );
-        // The port survives the call and can be taken back, cursors intact.
-        assert!(importer.take_clause_exchange().is_some());
     }
 
     #[test]
@@ -1206,27 +814,6 @@ mod tests {
             "retired peer effort must stay in the totals: {first} then {second}"
         );
         assert_eq!(p.wins().iter().sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn small_instances_skip_sharing_under_the_default_threshold() {
-        // PHP(7,6) is ~175 vars+clauses — far below the default
-        // `min_instance_size` — so a default-configured portfolio must
-        // race it without moving a single clause through an exchange.
-        let mut p = Portfolio::with_width(4);
-        assert!(p.sharing(), "sharing stays enabled; the gate is size-based");
-        pigeonhole(&mut p, 7, 6);
-        assert!(
-            SatBackend::num_vars(&p) + SatBackend::num_clauses(&p)
-                < p.sharing_config().min_instance_size
-        );
-        assert_eq!(
-            p.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-        let stats = *p.stats();
-        assert_eq!(stats.clauses_imported, 0, "gated race must not import");
-        assert_eq!(stats.clauses_exported, 0, "gated race must not export");
     }
 
     #[test]

@@ -8,15 +8,11 @@
 //! garbage-collected; watch lists and reason references are remapped in
 //! one pass per compaction. Supports incremental solving under
 //! assumptions, cooperative [`ResourceBudget`]s (conflicts or wall-clock
-//! deadlines), which the MaxSAT layer uses for anytime behaviour, and
-//! portfolio clause sharing through an optional [`ExchangePort`]: learned
-//! clauses below the glue threshold are exported during search and peers'
-//! clauses are imported at restart boundaries.
+//! deadlines), which the MaxSAT layer uses for anytime behaviour.
 
 use crate::budget::ResourceBudget;
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::config::{PhaseInit, SolverConfig, XorShift64};
-use crate::exchange::ExchangePort;
 use crate::lit::{LBool, Lit, Var};
 use crate::order::VarOrder;
 use crate::stats::Stats;
@@ -96,8 +92,6 @@ pub struct Solver {
     config: SolverConfig,
     /// Deterministic PRNG driving every randomized knob.
     rng: XorShift64,
-    /// Portfolio clause-sharing port, when racing (see [`ExchangePort`]).
-    exchange: Option<ExchangePort>,
 }
 
 impl Default for Solver {
@@ -164,7 +158,6 @@ impl Solver {
             lbd_gen: 0,
             rng: XorShift64::new(config.seed),
             config,
-            exchange: None,
         }
     }
 
@@ -186,25 +179,6 @@ impl Solver {
     /// The active search-diversification configuration.
     pub fn solver_config(&self) -> &SolverConfig {
         &self.config
-    }
-
-    /// Attaches this solver to a portfolio clause exchange (or detaches it
-    /// with `None`). While attached, learned clauses below the exchange's
-    /// glue threshold are exported during search and peers' clauses are
-    /// imported at restart boundaries — both sound, since learned clauses
-    /// are logical consequences of the shared formula.
-    pub fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        self.exchange = port;
-    }
-
-    /// Detaches and returns the clause-exchange port, if one is attached.
-    ///
-    /// The returned port keeps its per-peer read cursors and dedup state,
-    /// so re-attaching it later resumes the exchange exactly where it left
-    /// off — the mechanism `PortfolioBackend` uses to persist one exchange
-    /// across successive solve calls (cross-call lemma reuse).
-    pub fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        self.exchange.take()
     }
 
     /// Initial saved phase for a variable per the configured policy.
@@ -309,7 +283,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(&simplified, false, false, 0);
+                let cref = self.db.alloc(&simplified, false, 0);
                 self.attach(cref);
                 self.stats.arena_bytes = self.db.arena_bytes() as u64;
                 true
@@ -480,13 +454,6 @@ impl Solver {
 
         loop {
             self.bump_clause(cref);
-            // Import-usefulness signal: the first time an imported clause
-            // joins a resolution, credit it (once) — the adaptive sharing
-            // thresholds tune themselves on this yield.
-            if self.db.is_imported(cref) {
-                self.db.clear_imported(cref);
-                self.stats.useful_imports += 1;
-            }
             // Split borrows: the resolved clause's literals are read in
             // place from the arena — the hottest loop in the solver runs
             // allocation-free — while the VSIDS state mutates disjoint
@@ -641,97 +608,15 @@ impl Solver {
     fn record_learnt(&mut self, learnt: Vec<Lit>) {
         self.stats.learned_literals += learnt.len() as u64;
         if learnt.len() == 1 {
-            self.export_clause(&learnt, 1);
             self.unchecked_enqueue(learnt[0], None);
         } else {
             let lbd = self.compute_lbd(&learnt);
-            self.export_clause(&learnt, lbd);
             let asserting = learnt[0];
-            let cref = self.db.alloc(&learnt, true, false, lbd);
+            let cref = self.db.alloc(&learnt, true, lbd);
             self.attach(cref);
             self.bump_clause(cref);
             self.unchecked_enqueue(asserting, Some(cref));
             self.stats.arena_bytes = self.db.arena_bytes() as u64;
-        }
-    }
-
-    /// Offers a learned clause to the attached exchange, if any.
-    fn export_clause(&mut self, lits: &[Lit], lbd: u32) {
-        if let Some(port) = &mut self.exchange {
-            if port.export(lits, lbd) {
-                self.stats.clauses_exported += 1;
-            }
-        }
-    }
-
-    /// Imports peers' shared clauses at a root-level point. Returns `false`
-    /// when the imports (all logical consequences) close the formula —
-    /// i.e. a root conflict proves unsatisfiability.
-    fn import_shared(&mut self) -> bool {
-        let Some(mut port) = self.exchange.take() else {
-            return self.ok;
-        };
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut imported = 0u64;
-        let mut carried = 0u64;
-        port.drain(&mut |lits, lbd, cross_call| {
-            if self.import_clause(lits, lbd) {
-                imported += 1;
-                if cross_call {
-                    carried += 1;
-                }
-            }
-        });
-        self.exchange = Some(port);
-        if imported > 0 {
-            self.stats.clauses_imported += imported;
-            self.stats.cross_call_imports += carried;
-            self.stats.arena_bytes = self.db.arena_bytes() as u64;
-            if self.ok && self.propagate().is_some() {
-                self.ok = false;
-            }
-        }
-        self.ok
-    }
-
-    /// Adds one imported clause as a learned clause, simplifying against
-    /// the root-level trail. Returns `true` if the clause (or its implied
-    /// unit) was recorded.
-    fn import_clause(&mut self, lits: &[Lit], lbd: u32) -> bool {
-        if !self.ok || lits.iter().any(|l| l.var().index() >= self.num_vars()) {
-            // Unknown variables can only mean a misrouted port; drop.
-            return false;
-        }
-        let mut ps: Vec<Lit> = lits.to_vec();
-        ps.sort_unstable();
-        ps.dedup();
-        let mut simplified = Vec::with_capacity(ps.len());
-        for (i, &l) in ps.iter().enumerate() {
-            if i + 1 < ps.len() && ps[i + 1] == !l {
-                return false; // tautology
-            }
-            match self.value_lit(l) {
-                LBool::True => return false, // already satisfied at root
-                LBool::False => {}           // falsified at root: drop literal
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => {
-                // An imported consequence is empty at root: unsatisfiable.
-                self.ok = false;
-                true
-            }
-            1 => {
-                self.unchecked_enqueue(simplified[0], None);
-                true
-            }
-            _ => {
-                let lbd = lbd.clamp(1, simplified.len() as u32);
-                let cref = self.db.alloc(&simplified, true, true, lbd);
-                self.attach(cref);
-                true
-            }
         }
     }
 
@@ -890,24 +775,11 @@ impl Solver {
         self.model.clear();
         self.conflict_core.clear();
         self.cancel_until(0);
-        // Clauses already sitting in peer queues were published during an
-        // *earlier* call; the boundary lets the exchange count how many of
-        // them this call reuses (`Stats::cross_call_imports`). A boundary
-        // pre-marked by the port's owner (the portfolio, before spawning
-        // the race) is kept as-is so racing workers all measure the same
-        // cut.
-        if let Some(port) = &mut self.exchange {
-            port.begin_call();
-        }
         if !self.ok {
             return SolveResult::Unsat;
         }
         if self.propagate().is_some() {
             self.ok = false;
-            return SolveResult::Unsat;
-        }
-        // Pick up clauses peers shared before this call began.
-        if !self.import_shared() {
             return SolveResult::Unsat;
         }
 
@@ -929,12 +801,6 @@ impl Solver {
                 SearchOutcome::Restart => {
                     self.cancel_until(0);
                     self.stats.restarts += 1;
-                    // Restart boundaries are the import points for shared
-                    // clauses: the trail is at root, so every import lands
-                    // as a proper root-level learned clause.
-                    if !self.import_shared() {
-                        return SolveResult::Unsat;
-                    }
                 }
                 SearchOutcome::BudgetExhausted => {
                     self.cancel_until(0);
@@ -1345,52 +1211,5 @@ mod tests {
         }
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats().arena_bytes > 0);
-    }
-
-    #[test]
-    fn export_and_import_flow_between_attached_solvers() {
-        use crate::exchange::{ClauseExchange, ExchangePort, SharingConfig};
-        use std::sync::Arc;
-
-        // Worker 0 learns clauses on a hard UNSAT instance and exports
-        // them; worker 1 then imports at its restart boundaries and must
-        // reach the same answer.
-        let build = |s: &mut Solver| {
-            let n = 5usize;
-            let m = 4usize;
-            let var = |p: usize, h: usize| (p * m + h + 1) as i64;
-            for p in 0..n {
-                let row: Vec<Lit> = (0..m).map(|h| lit(s, var(p, h))).collect();
-                s.add_clause(row);
-            }
-            for h in 0..m {
-                for p1 in 0..n {
-                    for p2 in (p1 + 1)..n {
-                        let (l1, l2) = (lit(s, var(p1, h)), lit(s, var(p2, h)));
-                        s.add_clause([!l1, !l2]);
-                    }
-                }
-            }
-        };
-        let exchange = Arc::new(ClauseExchange::new(2, SharingConfig::default()));
-        let mut exporter = Solver::new();
-        build(&mut exporter);
-        exporter.set_clause_exchange(Some(ExchangePort::new(exchange.clone(), 0)));
-        assert_eq!(exporter.solve(), SolveResult::Unsat);
-        assert!(
-            exporter.stats().clauses_exported > 0,
-            "low-LBD clauses must be exported: {}",
-            exporter.stats()
-        );
-
-        let mut importer = Solver::new();
-        build(&mut importer);
-        importer.set_clause_exchange(Some(ExchangePort::new(exchange, 1)));
-        assert_eq!(importer.solve(), SolveResult::Unsat);
-        assert!(
-            importer.stats().clauses_imported > 0,
-            "peer clauses must be imported: {}",
-            importer.stats()
-        );
     }
 }

@@ -20,17 +20,6 @@ pub struct Stats {
     /// minimization ran (so `learned_literals <= premin_literals` witnesses
     /// that minimization never grows a clause).
     pub premin_literals: u64,
-    /// Learned clauses exported to portfolio peers (clause sharing).
-    pub clauses_exported: u64,
-    /// Learned clauses imported from portfolio peers (clause sharing).
-    pub clauses_imported: u64,
-    /// Imported clauses that later participated in at least one conflict
-    /// resolution (each import is counted useful at most once) — the yield
-    /// signal the adaptive sharing thresholds tune on.
-    pub useful_imports: u64,
-    /// Imported clauses that were published during an *earlier* solve call
-    /// (cross-call lemma reuse through a persistent clause exchange).
-    pub cross_call_imports: u64,
     /// Garbage-collecting compactions of the flat clause arena.
     pub compactions: u64,
     /// Portfolio workers that panicked mid-race and were retired (the race
@@ -55,10 +44,6 @@ impl Stats {
         self.reductions += other.reductions;
         self.learned_literals += other.learned_literals;
         self.premin_literals += other.premin_literals;
-        self.clauses_exported += other.clauses_exported;
-        self.clauses_imported += other.clauses_imported;
-        self.useful_imports += other.useful_imports;
-        self.cross_call_imports += other.cross_call_imports;
         self.compactions += other.compactions;
         self.worker_panics += other.worker_panics;
         self.arena_bytes += other.arena_bytes;
@@ -81,12 +66,6 @@ impl Stats {
             reductions: self.reductions.saturating_sub(base.reductions),
             learned_literals: self.learned_literals.saturating_sub(base.learned_literals),
             premin_literals: self.premin_literals.saturating_sub(base.premin_literals),
-            clauses_exported: self.clauses_exported.saturating_sub(base.clauses_exported),
-            clauses_imported: self.clauses_imported.saturating_sub(base.clauses_imported),
-            useful_imports: self.useful_imports.saturating_sub(base.useful_imports),
-            cross_call_imports: self
-                .cross_call_imports
-                .saturating_sub(base.cross_call_imports),
             compactions: self.compactions.saturating_sub(base.compactions),
             worker_panics: self.worker_panics.saturating_sub(base.worker_panics),
             arena_bytes: self.arena_bytes,
@@ -131,7 +110,7 @@ mod tests {
         assert_eq!(a.restarts, 1);
         assert_eq!(a.reductions, 2);
         assert_eq!(a.last_winner, Some(2));
-        assert_eq!(a.clauses_exported, 0);
+        assert_eq!(a.compactions, 0);
         // Merging a winner-less record keeps the previous winner.
         a.merge(&Stats::default());
         assert_eq!(a.last_winner, Some(2));
@@ -141,13 +120,13 @@ mod tests {
     fn delta_since_subtracts_counters_but_keeps_gauges() {
         let base = Stats {
             conflicts: 10,
-            clauses_exported: 2,
+            premin_literals: 2,
             arena_bytes: 4096,
             ..Stats::default()
         };
         let now = Stats {
             conflicts: 15,
-            clauses_exported: 5,
+            premin_literals: 5,
             compactions: 1,
             arena_bytes: 8192,
             last_winner: Some(1),
@@ -155,7 +134,7 @@ mod tests {
         };
         let d = now.delta_since(&base);
         assert_eq!(d.conflicts, 5);
-        assert_eq!(d.clauses_exported, 3);
+        assert_eq!(d.premin_literals, 3);
         assert_eq!(d.compactions, 1);
         assert_eq!(d.arena_bytes, 8192, "gauge carries the current value");
         assert_eq!(d.last_winner, Some(1));

@@ -23,16 +23,6 @@ pub struct SolverTelemetry {
     pub restarts: u64,
     /// Learned-clause database reductions across all SAT calls.
     pub db_reductions: u64,
-    /// Learned clauses exported to portfolio peers across all SAT calls.
-    pub clauses_exported: u64,
-    /// Learned clauses imported from portfolio peers across all SAT calls.
-    pub clauses_imported: u64,
-    /// Imported clauses that later participated in a conflict resolution
-    /// (the yield signal behind the adaptive sharing thresholds).
-    pub useful_imports: u64,
-    /// Imported clauses published during an *earlier* SAT call (cross-call
-    /// lemma reuse through a persistent clause exchange).
-    pub cross_call_imports: u64,
     /// Clause-arena garbage collections across all SAT calls.
     pub compactions: u64,
     /// Portfolio workers retired after panicking mid-race (the race
@@ -62,8 +52,6 @@ pub struct SolverTelemetry {
     /// `"core-guided"`, or `"linear+core-guided"`); `None` outside the
     /// dispatched MaxSAT path.
     pub dispatch_mix: Option<&'static str>,
-    /// Whether the dispatched plan enabled clause sharing.
-    pub dispatch_sharing: bool,
     /// The instance-hardness signal (vars + hard clauses, or the encoding
     /// estimate pre-encode) the dispatcher sized the plan from.
     pub dispatch_hardness: u64,
@@ -106,10 +94,6 @@ impl SolverTelemetry {
         self.propagations += child.propagations;
         self.restarts += child.restarts;
         self.db_reductions += child.db_reductions;
-        self.clauses_exported += child.clauses_exported;
-        self.clauses_imported += child.clauses_imported;
-        self.useful_imports += child.useful_imports;
-        self.cross_call_imports += child.cross_call_imports;
         self.compactions += child.compactions;
         self.worker_panics += child.worker_panics;
         self.arena_bytes = self.arena_bytes.max(child.arena_bytes);
@@ -130,7 +114,6 @@ impl SolverTelemetry {
         if child.dispatch_mix.is_some() {
             self.dispatch_mix = child.dispatch_mix;
         }
-        self.dispatch_sharing |= child.dispatch_sharing;
         self.dispatch_hardness = self.dispatch_hardness.max(child.dispatch_hardness);
         self.strata = self.strata.max(child.strata);
         self.exhaustion_steps += child.exhaustion_steps;
@@ -166,11 +149,7 @@ impl std::fmt::Display for SolverTelemetry {
             write!(f, " strategy={s}")?;
         }
         if let Some(mix) = self.dispatch_mix {
-            write!(
-                f,
-                " dispatch={mix}x{} sharing={}",
-                self.dispatch_width, self.dispatch_sharing
-            )?;
+            write!(f, " dispatch={mix}x{}", self.dispatch_width)?;
         }
         if self.strata > 0 {
             write!(
@@ -208,8 +187,7 @@ mod tests {
             sat_calls: 2,
             conflicts: 5,
             backtracks: 3,
-            clauses_exported: 4,
-            clauses_imported: 2,
+            db_reductions: 4,
             compactions: 1,
             arena_bytes: 1024,
             encode_time: Duration::from_millis(4),
@@ -221,8 +199,7 @@ mod tests {
         assert_eq!(parent.conflicts, 15);
         assert_eq!(parent.slices, 1);
         assert_eq!(parent.backtracks, 3);
-        assert_eq!(parent.clauses_exported, 4);
-        assert_eq!(parent.clauses_imported, 2);
+        assert_eq!(parent.db_reductions, 4);
         assert_eq!(parent.compactions, 1);
         assert_eq!(parent.arena_bytes, 1024, "gauge absorbs by max");
         parent.absorb(&SolverTelemetry {
@@ -297,13 +274,11 @@ mod tests {
         parent.absorb(&SolverTelemetry {
             dispatch_width: 4,
             dispatch_mix: Some("linear+core-guided"),
-            dispatch_sharing: true,
             dispatch_hardness: 9000,
             ..SolverTelemetry::new()
         });
         assert_eq!(parent.dispatch_width, 4, "peak width wins");
         assert_eq!(parent.dispatch_mix, Some("linear+core-guided"));
-        assert!(parent.dispatch_sharing);
         assert_eq!(parent.dispatch_hardness, 9000);
         parent.absorb(&SolverTelemetry::new());
         assert_eq!(

@@ -44,7 +44,7 @@
 //! `drain` stops admissions, lets queued and in-flight work finish,
 //! reports, and shuts the daemon down.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -299,25 +299,62 @@ fn accept_loop<B: SatBackend + Default + Send + 'static>(
     }
 }
 
+/// Longest request line the daemon reads, newline excluded: 4 MiB, about
+/// 25x the largest suite circuit's route request (`qft_13q_2810g_t4` as
+/// OpenQASM, 167 KB). A longer line is answered with an error row and
+/// skipped, so a client can never grow a reader's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Reads one request line into `buf` (newline and a trailing `\r`
+/// stripped). `Ok(None)` at end of stream; `Ok(Some(Err(_)))` for a line
+/// the wire cannot take — longer than [`MAX_LINE_BYTES`] (the rest of it
+/// is discarded up to the next newline) or not UTF-8.
+fn read_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, WireError>>> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(WireError::new(format!(
+            "request line exceeds {MAX_LINE_BYTES} bytes"
+        )))));
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| {
+        WireError::new(format!("request line is not UTF-8 ({e})"))
+    })))
+}
+
 fn serve_connection<B: SatBackend + Default + Send + 'static>(
     shared: &Arc<Shared<B>>,
     stream: TcpStream,
 ) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
     };
     let _ = stream.set_nodelay(true);
     let writer: LineWriter = Arc::new(Mutex::new(stream));
-    for line in reader.lines() {
+    let mut buf = Vec::new();
+    while let Ok(Some(line)) = read_line(&mut reader, &mut buf) {
         let line = match line {
+            Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => line,
-            Err(_) => break,
+            Err(e) => {
+                write_line(&writer, &error_row(&e));
+                continue;
+            }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::parse_request(&line) {
+        match wire::parse_request(line) {
             Err(e) => write_line(&writer, &error_row(&e)),
             Ok(Request::Route(command)) => handle_route(shared, *command, &writer),
             Ok(Request::Abort { request_id }) => {

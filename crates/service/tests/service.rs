@@ -432,3 +432,36 @@ fn session_store_stays_within_its_capacity() {
     client.drain().expect("drain");
     daemon.join();
 }
+
+#[test]
+fn oversized_and_non_utf8_lines_get_error_rows_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let daemon: Daemon = Daemon::bind(DaemonConfig {
+        workers: Some(1),
+        ..DaemonConfig::default()
+    })
+    .expect("bind");
+    let mut stream = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let stats = format!("{}\n", wire::stats_line());
+
+    let mut oversized = vec![b'x'; service::server::MAX_LINE_BYTES + 4096];
+    oversized.push(b'\n');
+    let mut not_utf8 = b"{\"verb\":\"stats\",\"x\":\"\xff\xfe\"}".to_vec();
+    not_utf8.push(b'\n');
+    for (bad, why) in [(oversized, "exceeds"), (not_utf8, "not UTF-8")] {
+        stream.write_all(&bad).expect("send bad line");
+        stream.write_all(stats.as_bytes()).expect("send stats");
+        let mut row = String::new();
+        reader.read_line(&mut row).expect("error row");
+        assert!(row.contains("\"type\":\"error\""), "{row}");
+        assert!(row.contains(why), "{row}");
+        row.clear();
+        reader.read_line(&mut row).expect("stats row");
+        assert!(row.contains("\"type\":\"stats\""), "{row}");
+    }
+
+    let mut client = ServiceClient::connect(daemon.local_addr()).expect("connect");
+    client.drain().expect("drain");
+    daemon.join();
+}

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Schema check for BENCH_satmap.json: the bench report must carry the
-# clause-arena / clause-sharing telemetry introduced with the flat arena,
-# and the pigeonhole sharing probe must witness actual cooperation
-# (nonzero clauses_imported). Run after `cargo bench -p bench`.
+# clause-arena telemetry introduced with the flat arena and the solver
+# telemetry fields of every route row, and its route rows must not
+# contradict themselves. Run after `cargo bench -p bench`.
 set -euo pipefail
 
 report="${1:-BENCH_satmap.json}"
@@ -15,44 +15,38 @@ fail() {
 [ -s "$report" ] || fail "$report is missing or empty"
 
 # Top-level sections.
-for key in schema_version benchmarks groups portfolio_speedup sharing_telemetry routes; do
+for key in schema_version benchmarks groups portfolio_speedup routes; do
     grep -q "\"$key\"" "$report" || fail "missing top-level key \"$key\""
 done
 
-# Telemetry fields: in the sharing probe and in every route row. The
-# strategy-engine fields (strategy, useful_imports, cross_call_imports)
-# came with the strategy-racing MaxSAT engine; the warm-start fields
+# Telemetry fields of every route row. The arena fields (compactions,
+# arena_bytes) came with the flat clause arena; strategy with the
+# strategy-racing MaxSAT engine; the warm-start fields
 # (cache_hit, warm_start, reused_clauses) with the route cache; the
 # resilience fields (quality, attempts, worker_panics) with the routing
 # supervisor; request_id (per-row tracing id) with the routing service;
-# the dispatch fields (dispatch_width, dispatch_mix, dispatch_sharing,
-# dispatch_hardness) with the adaptive dispatcher; the weighted-core
+# the dispatch fields (dispatch_width, dispatch_mix, dispatch_hardness)
+# with the adaptive dispatcher; the weighted-core
 # fields (strata, exhaustion_steps, hardened_softs) with the
 # weight-stratified core-guided search.
-for key in clauses_exported clauses_imported useful_imports cross_call_imports \
-           compactions arena_bytes strategy cache_hit warm_start reused_clauses \
+for key in compactions arena_bytes strategy cache_hit warm_start reused_clauses \
            quality attempts worker_panics request_id \
-           dispatch_width dispatch_mix dispatch_sharing dispatch_hardness \
+           dispatch_width dispatch_mix dispatch_hardness \
            strata exhaustion_steps hardened_softs; do
     grep -q "\"$key\"" "$report" || fail "missing telemetry field \"$key\""
 done
 
-# Route rows must not contradict themselves: a width-1 plan has no peer
-# to share clauses with, and the strategy diagnostic names the strategy
-# that ran (`race` for a mixed plan, whose row names the winner).
+# Route rows must not contradict themselves: the strategy diagnostic
+# names the strategy that ran (`race` for a mixed plan, whose row names
+# the winner).
 rows=0
 while IFS= read -r row; do
     rows=$((rows + 1))
     router=$(sed -n 's/.*"router":"\([^"]*\)".*/\1/p' <<<"$row")
     top=${row%%\"diagnostics\":*}
     diagnostics=${row#*\"diagnostics\":}
-    width=$(sed -n 's/.*"dispatch_width":\([0-9]*\).*/\1/p' <<<"$top")
-    sharing=$(sed -n 's/.*"dispatch_sharing":\([a-z]*\).*/\1/p' <<<"$top")
     strategy=$(sed -n 's/.*"strategy":"\([^"]*\)".*/\1/p' <<<"$top")
     ran=$(sed -n 's/.*"strategy":"\([^"]*\)".*/\1/p' <<<"$diagnostics")
-    if [ "${width:-0}" -le 1 ] && [ "$sharing" = true ]; then
-        fail "$router row pairs dispatch_width ${width:-0} with dispatch_sharing true"
-    fi
     if [ -n "$ran" ] && [ "$ran" != race ] && [ "$ran" != "$strategy" ]; then
         fail "$router row: diagnostics.strategy \"$ran\" differs from strategy \"$strategy\""
     fi
@@ -60,7 +54,7 @@ done < <(grep '^ *{"router":' "$report")
 [ "$rows" -gt 0 ] || fail "no route rows"
 
 # The criterion groups must have produced medians.
-for group in '"sharing/on"' '"sharing/off"' '"arena/clone"' '"arena/reemit"' \
+for group in '"arena/clone"' '"arena/reemit"' \
              '"maxsat_strategies/linear"' '"maxsat_strategies/core-guided"' \
              '"maxsat_strategies/race"' \
              '"weighted_core/stratified"' '"weighted_core/plain"' \
@@ -72,9 +66,4 @@ for group in '"sharing/on"' '"sharing/off"' '"arena/clone"' '"arena/reemit"' \
     grep -q "$group" "$report" || fail "missing benchmark $group"
 done
 
-# Cooperation witness: the pigeonhole sharing probe must import clauses.
-imported=$(sed -n 's/.*"sharing_telemetry": {[^}]*"clauses_imported": \([0-9]*\).*/\1/p' "$report")
-[ -n "$imported" ] || fail "could not parse sharing_telemetry.clauses_imported"
-[ "$imported" -gt 0 ] || fail "sharing probe imported 0 clauses (portfolio is not cooperating)"
-
-echo "check_bench_schema: OK ($report, clauses_imported=$imported)"
+echo "check_bench_schema: OK ($report, $rows route rows)"

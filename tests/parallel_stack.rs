@@ -9,8 +9,7 @@ use circuit::{verify::verify, Circuit, Objective, Parallelism, RouteRequest, Rou
 use experiments::runner::{run_suite, run_tool};
 use routers::RouterRegistry;
 use sat::{
-    CancelToken, DefaultBackend, Lit, PortfolioBackend, ResourceBudget, SatBackend, SharingConfig,
-    SolveResult,
+    CancelToken, DefaultBackend, Lit, PortfolioBackend, ResourceBudget, SatBackend, SolveResult,
 };
 
 /// The paper's Fig. 3a running example.
@@ -127,7 +126,6 @@ fn core_guided_strategy_routes_the_fig3_example() {
     assert_eq!(routed.swap_count(), 1, "fig3 optimum");
     assert_eq!(outcome.telemetry().strategy, Some("core-guided"));
     assert!(outcome.to_json().contains("\"strategy\":\"core-guided\""));
-    assert!(outcome.to_json().contains("\"cross_call_imports\":"));
 }
 
 #[test]
@@ -153,7 +151,7 @@ fn portfolio_telemetry_reports_winner_through_the_stack() {
 fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
     // Dispatch regression: a fig3-sized request under the widest hints
     // (`Auto` parallelism, `Race` strategy) must still resolve to a
-    // width-1 linear plan with sharing off — the bench data says the
+    // width-1 linear plan — the bench data says the
     // parallel machinery loses on instances this small, and the decision
     // must be visible in telemetry and the JSON row.
     let graph = arch::devices::tokyo_minus();
@@ -172,7 +170,6 @@ fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
     let t = outcome.telemetry();
     assert_eq!(t.dispatch_width, 1, "small instances stay width 1");
     assert_eq!(t.dispatch_mix, Some("linear"), "the race degenerates");
-    assert!(!t.dispatch_sharing, "no exchange for a lone worker");
     assert!(
         t.dispatch_hardness > 0 && t.dispatch_hardness < maxsat::dispatch::SMALL_INSTANCE,
         "fig3 sits below the small-instance gate, got {}",
@@ -181,10 +178,8 @@ fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
     let row = outcome.to_json();
     assert!(row.contains("\"dispatch_width\":1"), "{row}");
     assert!(row.contains("\"dispatch_mix\":\"linear\""), "{row}");
-    assert!(row.contains("\"dispatch_sharing\":false"), "{row}");
 
-    // Above the small-instance gate a lone worker still has no one to
-    // share with: a `Serial` plan must report sharing off.
+    // Above the small-instance gate a `Serial` plan stays one worker.
     let larger = circuit::generators::graycode(6);
     let outcome = router.route_request(
         &RouteRequest::new(&larger, &arch::devices::tokyo()).with_parallelism(Parallelism::Serial),
@@ -197,7 +192,6 @@ fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
         t.dispatch_hardness
     );
     assert_eq!(t.dispatch_width, 1);
-    assert!(!t.dispatch_sharing, "a width-1 plan never shares");
 }
 
 #[test]
@@ -317,11 +311,10 @@ fn cancel_token_reaches_a_plain_solver_deep_in_the_chain() {
 }
 
 #[test]
-fn sharing_portfolio_maxsat_costs_match_serial_backend() {
-    // The acceptance bar for clause sharing: a width-4 sharing portfolio
-    // driven by the MaxSAT engine must land on exactly the optimal costs
-    // the serial backend proves, across weighted instances. (Sharing is on
-    // by default, so the width-4 path here races cooperating workers.)
+fn portfolio_maxsat_costs_match_serial_backend() {
+    // The acceptance bar for racing: a width-4 portfolio driven by the
+    // MaxSAT engine must land on exactly the optimal costs the serial
+    // backend proves, across weighted instances.
     use maxsat::{solve_with_options, MaxSatStatus, SolveOptions, WcnfInstance};
 
     let build_instances = || -> Vec<WcnfInstance> {
@@ -364,7 +357,7 @@ fn sharing_portfolio_maxsat_costs_match_serial_backend() {
         assert_eq!(serial.status, portfolio.status, "instance {i}");
         assert_eq!(
             serial.cost, portfolio.cost,
-            "instance {i}: sharing portfolio must reproduce the serial optimum"
+            "instance {i}: the portfolio must reproduce the serial optimum"
         );
         if serial.status == MaxSatStatus::Optimal {
             let model = portfolio.model.expect("optimal outcome has a model");
@@ -374,44 +367,8 @@ fn sharing_portfolio_maxsat_costs_match_serial_backend() {
 }
 
 #[test]
-fn sharing_on_and_off_portfolios_agree_and_cooperate() {
-    // Same hard UNSAT race with sharing on and off: identical answers,
-    // and the sharing side must actually move clauses (nonzero imports).
-    // PHP(7,6) sits below the default `min_instance_size` gate, so the
-    // sharing side opens it explicitly — the override the gate documents.
-    let mut with_sharing = PortfolioBackend::<DefaultBackend>::with_width(4);
-    with_sharing.set_sharing_config(SharingConfig {
-        min_instance_size: 0,
-        ..SharingConfig::default()
-    });
-    load_pigeonhole(&mut with_sharing, 7, 6);
-    let mut without = PortfolioBackend::<DefaultBackend>::with_width(4);
-    without.set_sharing(false);
-    load_pigeonhole(&mut without, 7, 6);
-    let unlimited = ResourceBudget::unlimited();
-    assert_eq!(
-        with_sharing.solve_under_assumptions(&[], &unlimited),
-        SolveResult::Unsat
-    );
-    assert_eq!(
-        without.solve_under_assumptions(&[], &unlimited),
-        SolveResult::Unsat
-    );
-    assert!(
-        with_sharing.stats().clauses_imported > 0,
-        "sharing race must import peer clauses: {}",
-        with_sharing.stats()
-    );
-    assert_eq!(
-        without.stats().clauses_imported,
-        0,
-        "sharing off must not import"
-    );
-}
-
-#[test]
-fn routing_telemetry_carries_arena_and_sharing_fields() {
-    // The new counters must flow through maxsat into RouteOutcome and its
+fn routing_telemetry_carries_arena_fields() {
+    // The arena counters must flow through maxsat into RouteOutcome and its
     // JSON row — the schema the experiment sweeps and BENCH_satmap.json
     // share.
     let graph = arch::devices::tokyo_minus();
@@ -428,12 +385,7 @@ fn routing_telemetry_carries_arena_and_sharing_fields() {
         outcome.telemetry()
     );
     let json = outcome.to_json();
-    for key in [
-        "\"clauses_exported\":",
-        "\"clauses_imported\":",
-        "\"compactions\":",
-        "\"arena_bytes\":",
-    ] {
+    for key in ["\"compactions\":", "\"arena_bytes\":"] {
         assert!(json.contains(key), "row schema must carry {key}: {json}");
     }
 }
