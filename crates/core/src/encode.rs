@@ -20,6 +20,13 @@
 //!   providing frame axioms instead of enumerating swap sequences;
 //! * **Soft** — reward the no-op (swap-count mode) or weight each edge by
 //!   its log-infidelity (fidelity mode).
+//!
+//! Map and swap variables are numbered contiguously (map variables in
+//! `(state, logical, physical)` order, then swap variables in `(slot,
+//! choice)` order), so a variable's index is computed from its
+//! coordinates rather than looked up, and the emitters push each clause
+//! straight into the flat [`WcnfInstance`] store without building it in a
+//! temporary `Vec` first.
 
 use arch::ConnectivityGraph;
 use circuit::{Circuit, Qubit};
@@ -74,19 +81,54 @@ pub type DecodedMaps = Vec<Vec<usize>>;
 /// Per-slot swap choices decoded from a model (`None` = the no-op).
 pub type DecodedSwaps = Vec<Option<(usize, usize)>>;
 
+/// Where the encoding's map and swap variables live. Map variables come
+/// first, contiguous in `(state, logical, physical)` order, then the swap
+/// variables in `(slot, choice)` order, so both are computed from their
+/// indices instead of being stored. Auxiliaries follow in emission order.
+#[derive(Clone, Copy, Debug)]
+struct VarLayout {
+    num_logical: usize,
+    num_phys: usize,
+    num_states: usize,
+    /// Swap choices per slot: the device's edges, then the no-op.
+    slot_width: usize,
+}
+
+impl VarLayout {
+    /// Number of map variables (they occupy indices `0..map_vars()`).
+    fn map_vars(&self) -> usize {
+        self.num_states * self.num_logical * self.num_phys
+    }
+
+    /// Number of swap slots (one between each pair of consecutive states).
+    fn num_slots(&self) -> usize {
+        self.num_states - 1
+    }
+
+    /// `map(q, p, s)`: logical `q` sits on physical `p` at state `s`.
+    fn map_lit(&self, s: usize, q: usize, p: usize) -> Lit {
+        debug_assert!(s < self.num_states && q < self.num_logical && p < self.num_phys);
+        Var::new((s * self.num_logical + q) * self.num_phys + p).positive()
+    }
+
+    /// `swap(e, slot)`; `e == num_edges` is the no-op.
+    fn swap_lit(&self, slot: usize, e: usize) -> Lit {
+        debug_assert!(slot < self.num_slots() && e < self.slot_width);
+        Var::new(self.map_vars() + slot * self.slot_width + e).positive()
+    }
+
+    fn noop_lit(&self, slot: usize) -> Lit {
+        self.swap_lit(slot, self.slot_width - 1)
+    }
+}
+
 /// The variable layout and constraint set for one QMR (sub)problem.
 /// `Clone` supports forked [`crate::RouteSession`]s: the encoding is the
 /// immutable half of a session, duplicated alongside the solver snapshot.
 #[derive(Clone, Debug)]
 pub struct QmrEncoding {
     instance: WcnfInstance,
-    num_logical: usize,
-    num_phys: usize,
-    num_states: usize,
-    /// `map_var[s][q][p]`.
-    map_var: Vec<Vec<Vec<Var>>>,
-    /// `swap_var[slot][e]`, `e` indexing `edges`, plus the no-op at the end.
-    swap_var: Vec<Vec<Var>>,
+    layout: VarLayout,
     /// State index at which gate `g` (two-qubit gate order) executes.
     gate_state: Vec<usize>,
     /// The slice's two-qubit interactions `(gate_index, a, b)`.
@@ -137,28 +179,20 @@ impl QmrEncoding {
         } else {
             last_gate_state + 1
         };
-        let num_slots = num_states - 1;
 
-        let mut instance = WcnfInstance::new();
-        let map_var: Vec<Vec<Vec<Var>>> = (0..num_states)
-            .map(|_| {
-                (0..num_logical)
-                    .map(|_| (0..num_phys).map(|_| instance.new_var()).collect())
-                    .collect()
-            })
-            .collect();
         let edges = graph.edges().to_vec();
-        let swap_var: Vec<Vec<Var>> = (0..num_slots)
-            .map(|_| (0..=edges.len()).map(|_| instance.new_var()).collect())
-            .collect();
-
-        let mut enc = QmrEncoding {
-            instance,
+        let layout = VarLayout {
             num_logical,
             num_phys,
             num_states,
-            map_var,
-            swap_var,
+            slot_width: edges.len() + 1,
+        };
+        let mut instance = WcnfInstance::new();
+        instance.reserve_vars(layout.map_vars() + layout.num_slots() * layout.slot_width);
+
+        let mut enc = QmrEncoding {
+            instance,
+            layout,
             gate_state,
             interactions,
             edges,
@@ -167,33 +201,23 @@ impl QmrEncoding {
         enc.emit_hard_b(graph);
         enc.emit_hard_c();
         enc.emit_hard_d(graph);
-        enc.emit_soft(objective, graph);
+        enc.emit_soft(objective);
         enc
-    }
-
-    fn map_lit(&self, s: usize, q: usize, p: usize) -> Lit {
-        self.map_var[s][q][p].positive()
-    }
-
-    fn swap_lit(&self, slot: usize, e: usize) -> Lit {
-        self.swap_var[slot][e].positive()
-    }
-
-    fn noop_lit(&self, slot: usize) -> Lit {
-        self.swap_var[slot][self.edges.len()].positive()
     }
 
     /// Hard A: maps are injective total functions, per state.
     fn emit_hard_a(&mut self) {
-        for s in 0..self.num_states {
-            for q in 0..self.num_logical {
-                let lits: Vec<Lit> = (0..self.num_phys).map(|p| self.map_lit(s, q, p)).collect();
+        let l = self.layout;
+        let mut lits = Vec::with_capacity(l.num_phys.max(l.num_logical));
+        for s in 0..l.num_states {
+            for q in 0..l.num_logical {
+                lits.clear();
+                lits.extend((0..l.num_phys).map(|p| l.map_lit(s, q, p)));
                 exactly_one(&mut self.instance, &lits);
             }
-            for p in 0..self.num_phys {
-                let lits: Vec<Lit> = (0..self.num_logical)
-                    .map(|q| self.map_lit(s, q, p))
-                    .collect();
+            for p in 0..l.num_phys {
+                lits.clear();
+                lits.extend((0..l.num_logical).map(|q| l.map_lit(s, q, p)));
                 at_most_one(&mut self.instance, &lits);
             }
         }
@@ -201,28 +225,26 @@ impl QmrEncoding {
 
     /// Hard B: each two-qubit gate's operands occupy adjacent qubits.
     fn emit_hard_b(&mut self, graph: &ConnectivityGraph) {
-        for (g, &(_, a, b)) in self.interactions.clone().iter().enumerate() {
-            let s = self.gate_state[g];
-            for p in 0..self.num_phys {
+        let l = self.layout;
+        for (&(_, a, b), &s) in self.interactions.iter().zip(&self.gate_state) {
+            for p in 0..l.num_phys {
                 // map(a, p, s) → ⋁_{p' ∈ N(p)} map(b, p', s)
-                let mut clause = vec![!self.map_lit(s, a.0, p)];
-                clause.extend(
-                    graph
-                        .neighbors(p)
-                        .iter()
-                        .map(|&p2| self.map_lit(s, b.0, p2)),
+                let neighbours = graph.neighbors(p).iter();
+                self.instance.add_hard(
+                    std::iter::once(!l.map_lit(s, a.0, p))
+                        .chain(neighbours.map(|&p2| l.map_lit(s, b.0, p2))),
                 );
-                self.instance.add_hard(clause);
             }
         }
     }
 
     /// Hard C: exactly one swap choice (possibly the no-op) per slot.
     fn emit_hard_c(&mut self) {
-        for slot in 0..self.swap_var.len() {
-            let lits: Vec<Lit> = (0..=self.edges.len())
-                .map(|e| self.swap_lit(slot, e))
-                .collect();
+        let l = self.layout;
+        let mut lits = Vec::with_capacity(l.slot_width);
+        for slot in 0..l.num_slots() {
+            lits.clear();
+            lits.extend((0..l.slot_width).map(|e| l.swap_lit(slot, e)));
             exactly_one(&mut self.instance, &lits);
         }
     }
@@ -230,53 +252,41 @@ impl QmrEncoding {
     /// Hard D: the effect of the chosen swap, with frame axioms via
     /// `touched(p, slot)` auxiliaries.
     fn emit_hard_d(&mut self, graph: &ConnectivityGraph) {
-        let edges = self.edges.clone();
-        for slot in 0..self.swap_var.len() {
+        let l = self.layout;
+        let instance = &mut self.instance;
+        let edges = &self.edges;
+        let mut touched: Vec<Lit> = Vec::with_capacity(l.num_phys);
+        for slot in 0..l.num_slots() {
             let s = slot;
             // touched(p) ↔ ⋁ swaps incident to p.
-            let touched: Vec<Lit> = (0..self.num_phys)
-                .map(|_| self.instance.new_var().positive())
-                .collect();
+            touched.clear();
+            touched.extend((0..l.num_phys).map(|_| instance.new_var().positive()));
             for (p, &touched_p) in touched.iter().enumerate() {
-                let mut incident = Vec::new();
-                for (e, &(x, y)) in edges.iter().enumerate() {
-                    if x == p || y == p {
-                        let sw = self.swap_lit(slot, e);
-                        // swap(e) → touched(p)
-                        self.instance.add_hard([!sw, touched_p]);
-                        incident.push(sw);
-                    }
+                let incident = || {
+                    (0..edges.len())
+                        .filter(move |&e| edges[e].0 == p || edges[e].1 == p)
+                        .map(move |e| l.swap_lit(slot, e))
+                };
+                for sw in incident() {
+                    // swap(e) → touched(p)
+                    instance.add_hard([!sw, touched_p]);
                 }
                 // touched(p) → some incident swap chosen.
-                let mut clause = vec![!touched_p];
-                clause.extend(incident);
-                self.instance.add_hard(clause);
+                instance.add_hard(std::iter::once(!touched_p).chain(incident()));
             }
             // Movement: swap((x, y)) carries q across the edge.
             for (e, &(x, y)) in edges.iter().enumerate() {
                 debug_assert!(graph.are_adjacent(x, y));
-                let sw = self.swap_lit(slot, e);
-                for q in 0..self.num_logical {
-                    self.instance.add_hard([
-                        !sw,
-                        !self.map_lit(s, q, x),
-                        self.map_lit(s + 1, q, y),
-                    ]);
-                    self.instance.add_hard([
-                        !sw,
-                        !self.map_lit(s, q, y),
-                        self.map_lit(s + 1, q, x),
-                    ]);
+                let sw = l.swap_lit(slot, e);
+                for q in 0..l.num_logical {
+                    instance.add_hard([!sw, !l.map_lit(s, q, x), l.map_lit(s + 1, q, y)]);
+                    instance.add_hard([!sw, !l.map_lit(s, q, y), l.map_lit(s + 1, q, x)]);
                 }
             }
             // Frame: untouched positions persist.
             for (p, &touched_p) in touched.iter().enumerate() {
-                for q in 0..self.num_logical {
-                    self.instance.add_hard([
-                        touched_p,
-                        !self.map_lit(s, q, p),
-                        self.map_lit(s + 1, q, p),
-                    ]);
+                for q in 0..l.num_logical {
+                    instance.add_hard([touched_p, !l.map_lit(s, q, p), l.map_lit(s + 1, q, p)]);
                 }
             }
         }
@@ -285,48 +295,38 @@ impl QmrEncoding {
     /// Soft constraints: reward no-ops (swap-count mode) or weight each
     /// edge by its log-infidelity (fidelity mode). Fidelity mode also adds
     /// per-gate edge-usage softs, reproducing TB-OLSQ's objective.
-    fn emit_soft(&mut self, objective: &Objective, graph: &ConnectivityGraph) {
+    fn emit_soft(&mut self, objective: &Objective) {
+        let l = self.layout;
+        let instance = &mut self.instance;
         match objective {
             Objective::SwapCount => {
-                for slot in 0..self.swap_var.len() {
-                    let noop = self.noop_lit(slot);
-                    self.instance.add_soft(1, [noop]);
+                for slot in 0..l.num_slots() {
+                    instance.add_soft(1, [l.noop_lit(slot)]);
                 }
             }
             Objective::Fidelity(noise) => {
-                let edges = self.edges.clone();
-                for slot in 0..self.swap_var.len() {
-                    for (e, &(x, y)) in edges.iter().enumerate() {
+                for slot in 0..l.num_slots() {
+                    for (e, &(x, y)) in self.edges.iter().enumerate() {
                         let w = arch::NoiseModel::fidelity_weight(noise.swap_fidelity(x, y));
                         if w > 0 {
-                            self.instance.add_soft(w, [!self.swap_lit(slot, e)]);
+                            instance.add_soft(w, [!l.swap_lit(slot, e)]);
                         }
                     }
                 }
                 // Gate-placement fidelity: an indicator per (gate, edge).
-                for (g, &(_, a, b)) in self.interactions.clone().iter().enumerate() {
-                    let s = self.gate_state[g];
-                    for &(x, y) in &edges {
+                for (&(_, a, b), &s) in self.interactions.iter().zip(&self.gate_state) {
+                    for &(x, y) in &self.edges {
                         let w = arch::NoiseModel::fidelity_weight(noise.cx_fidelity(x, y));
                         if w == 0 {
                             continue;
                         }
-                        let used = self.instance.new_var().positive();
+                        let used = instance.new_var().positive();
                         // (a@x ∧ b@y) → used, and the mirrored orientation.
-                        self.instance.add_hard([
-                            !self.map_lit(s, a.0, x),
-                            !self.map_lit(s, b.0, y),
-                            used,
-                        ]);
-                        self.instance.add_hard([
-                            !self.map_lit(s, a.0, y),
-                            !self.map_lit(s, b.0, x),
-                            used,
-                        ]);
-                        self.instance.add_soft(w, [!used]);
+                        instance.add_hard([!l.map_lit(s, a.0, x), !l.map_lit(s, b.0, y), used]);
+                        instance.add_hard([!l.map_lit(s, a.0, y), !l.map_lit(s, b.0, x), used]);
+                        instance.add_soft(w, [!used]);
                     }
                 }
-                let _ = graph;
             }
         }
     }
@@ -338,20 +338,22 @@ impl QmrEncoding {
     ///
     /// Panics if `map` does not cover every logical qubit.
     pub fn pin_initial_map(&mut self, map: &[usize]) {
-        assert_eq!(map.len(), self.num_logical, "map arity mismatch");
+        let l = self.layout;
+        assert_eq!(map.len(), l.num_logical, "map arity mismatch");
         for (q, &p) in map.iter().enumerate() {
-            self.instance.add_hard([self.map_lit(0, q, p)]);
+            self.instance.add_hard([l.map_lit(0, q, p)]);
         }
     }
 
     /// Adds the cyclic-relaxation constraint: the *exit* state equals the
     /// *entry* state (`map(q, p, 1) ↔ map(q, p, |C|)` in the paper).
     pub fn require_cyclic(&mut self) {
-        let last = self.num_states - 1;
-        for q in 0..self.num_logical {
-            for p in 0..self.num_phys {
-                let first = self.map_lit(0, q, p);
-                let end = self.map_lit(last, q, p);
+        let l = self.layout;
+        let last = l.num_states - 1;
+        for q in 0..l.num_logical {
+            for p in 0..l.num_phys {
+                let first = l.map_lit(0, q, p);
+                let end = l.map_lit(last, q, p);
                 self.instance.add_hard([!first, end]);
                 self.instance.add_hard([first, !end]);
             }
@@ -362,23 +364,21 @@ impl QmrEncoding {
     /// composing the cyclic relaxation with slicing: the last slice must
     /// land on the first slice's entry map).
     pub fn pin_final_map(&mut self, map: &[usize]) {
-        assert_eq!(map.len(), self.num_logical, "map arity mismatch");
-        let last = self.num_states - 1;
+        let l = self.layout;
+        assert_eq!(map.len(), l.num_logical, "map arity mismatch");
+        let last = l.num_states - 1;
         for (q, &p) in map.iter().enumerate() {
-            self.instance.add_hard([self.map_lit(last, q, p)]);
+            self.instance.add_hard([l.map_lit(last, q, p)]);
         }
     }
 
     /// Excludes a previously returned *final* map (Example 10's
     /// backtracking clause): adds `¬⋀ map(q, final(q), last)`.
     pub fn forbid_final_map(&mut self, map: &[usize]) {
-        assert_eq!(map.len(), self.num_logical, "map arity mismatch");
-        let last = self.num_states - 1;
-        let clause: Vec<Lit> = map
-            .iter()
-            .enumerate()
-            .map(|(q, &p)| !self.map_lit(last, q, p))
-            .collect();
+        let l = self.layout;
+        assert_eq!(map.len(), l.num_logical, "map arity mismatch");
+        let last = l.num_states - 1;
+        let clause = map.iter().enumerate().map(|(q, &p)| !l.map_lit(last, q, p));
         self.instance.add_hard(clause);
     }
 
@@ -389,7 +389,7 @@ impl QmrEncoding {
 
     /// Number of map states in the chain.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.layout.num_states
     }
 
     /// Decodes a model into the per-state maps and per-slot swap choices.
@@ -403,13 +403,14 @@ impl QmrEncoding {
     /// Panics if the model is not a well-formed solution (the encoding
     /// guarantees well-formedness for any satisfying model).
     pub fn decode(&self, model: &[bool]) -> (DecodedMaps, DecodedSwaps) {
-        let value = |v: Var| model.get(v.index()).copied().unwrap_or(false);
-        let maps: DecodedMaps = (0..self.num_states)
+        let l = self.layout;
+        let value = |lit: Lit| model.get(lit.var().index()).copied().unwrap_or(false);
+        let maps: DecodedMaps = (0..l.num_states)
             .map(|s| {
-                (0..self.num_logical)
+                (0..l.num_logical)
                     .map(|q| {
-                        let ps: Vec<usize> = (0..self.num_phys)
-                            .filter(|&p| value(self.map_var[s][q][p]))
+                        let ps: Vec<usize> = (0..l.num_phys)
+                            .filter(|&p| value(l.map_lit(s, q, p)))
                             .collect();
                         assert_eq!(ps.len(), 1, "state {s}, q{q}: map not a function");
                         ps[0]
@@ -417,10 +418,10 @@ impl QmrEncoding {
                     .collect()
             })
             .collect();
-        let swaps: Vec<Option<(usize, usize)>> = (0..self.swap_var.len())
+        let swaps: Vec<Option<(usize, usize)>> = (0..l.num_slots())
             .map(|slot| {
-                let chosen: Vec<usize> = (0..=self.edges.len())
-                    .filter(|&e| value(self.swap_var[slot][e]))
+                let chosen: Vec<usize> = (0..l.slot_width)
+                    .filter(|&e| value(l.swap_lit(slot, e)))
                     .collect();
                 assert_eq!(chosen.len(), 1, "slot {slot}: not exactly one swap");
                 if chosen[0] == self.edges.len() {

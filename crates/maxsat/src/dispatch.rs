@@ -87,11 +87,7 @@ impl InstanceFeatures {
             vars: instance.num_vars(),
             hard_clauses: instance.hard_clauses().len(),
             soft_clauses: instance.soft_clauses().len(),
-            weighted_softs: instance
-                .soft_clauses()
-                .iter()
-                .filter(|s| s.weight != 1)
-                .count(),
+            weighted_softs: instance.soft_clauses().filter(|&(w, _)| w != 1).count(),
             device_qubits: 0,
             encoding_estimate: 0,
         }

@@ -49,4 +49,4 @@ pub use solve::{
     SolveOptions,
 };
 pub use strategy::{CoreGuided, LinearSatUnsat, RaceBounds, Search, SearchContext};
-pub use wcnf::{SoftClause, WcnfInstance};
+pub use wcnf::WcnfInstance;

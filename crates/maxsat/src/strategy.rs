@@ -184,30 +184,28 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             solver.add_clause(h);
         }
         let mut indicators: Vec<(Lit, u64)> = Vec::with_capacity(instance.soft_clauses().len());
-        for s in instance.soft_clauses() {
-            match s.lits.as_slice() {
-                [] => continue, // an empty soft is always falsified; constant cost
-                [l] => indicators.push((!*l, s.weight)),
+        let mut constant_cost = 0;
+        // One buffer for every relaxed soft (its literals plus the relaxer).
+        let mut relaxed: Vec<Lit> = Vec::new();
+        for (weight, lits) in instance.soft_clauses() {
+            match lits {
+                [] => constant_cost += weight, // always falsified
+                [l] => indicators.push((!*l, weight)),
                 lits => {
                     let r = solver.new_var().positive();
-                    let mut clause: Vec<Lit> = lits.to_vec();
-                    clause.push(r);
-                    solver.add_clause(&clause);
+                    relaxed.clear();
+                    relaxed.extend_from_slice(lits);
+                    relaxed.push(r);
+                    solver.add_clause(&relaxed);
                     // r is free to be false whenever the clause is satisfied,
                     // and the objective pushes it false, so r ⇔ falsified at
                     // the optimum.
-                    indicators.push((r, s.weight));
+                    indicators.push((r, weight));
                 }
             }
         }
         telemetry.encode_time += encode_start.elapsed();
 
-        let constant_cost: u64 = instance
-            .soft_clauses()
-            .iter()
-            .filter(|s| s.lits.is_empty())
-            .map(|s| s.weight)
-            .sum();
         // Quantize weights so the totalizers' attainable-sum counts stay
         // small; quantum 1 keeps the search exact.
         let total_weight: u64 = indicators.iter().map(|&(_, w)| w).sum();

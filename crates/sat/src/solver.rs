@@ -80,6 +80,9 @@ pub struct Solver {
     analyze_clear: Vec<Lit>,
     /// Reusable DFS stack for recursive conflict-clause minimization.
     minimize_stack: Vec<Lit>,
+    /// Reusable scratch in which `add_clause` sorts and simplifies its
+    /// input (no per-clause allocation while loading a formula).
+    add_scratch: Vec<Lit>,
     model: Vec<LBool>,
     conflict_core: Vec<Lit>,
     stats: Stats,
@@ -150,6 +153,7 @@ impl Solver {
             seen: Vec::new(),
             analyze_clear: Vec::new(),
             minimize_stack: Vec::new(),
+            add_scratch: Vec::new(),
             model: Vec::new(),
             conflict_core: Vec::new(),
             stats: Stats::default(),
@@ -254,13 +258,24 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut ps: Vec<Lit> = lits.into_iter().collect();
+        let mut ps = std::mem::take(&mut self.add_scratch);
+        ps.clear();
+        ps.extend(lits);
+        let ok = self.add_sorted(&mut ps);
+        self.add_scratch = ps;
+        ok
+    }
+
+    /// The body of [`Solver::add_clause`] on its scratch buffer: sorts and
+    /// dedups `ps`, then compacts it in place to the literals still
+    /// unassigned at the root. Tautologies and root-satisfied clauses are
+    /// dropped; an empty result makes the solver unsatisfiable.
+    fn add_sorted(&mut self, ps: &mut Vec<Lit>) -> bool {
         ps.sort_unstable();
         ps.dedup();
         // Tautology / root-level simplification.
-        let mut simplified = Vec::with_capacity(ps.len());
-        let mut i = 0;
-        while i < ps.len() {
+        let mut kept = 0;
+        for i in 0..ps.len() {
             let l = ps[i];
             if i + 1 < ps.len() && ps[i + 1] == !l {
                 return true; // tautology: contains l and ¬l
@@ -268,22 +283,25 @@ impl Solver {
             match self.value_lit(l) {
                 LBool::True => return true, // already satisfied at root
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(l),
+                LBool::Undef => {
+                    ps[kept] = l;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
-        match simplified.len() {
+        ps.truncate(kept);
+        match ps.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], None);
+                self.unchecked_enqueue(ps[0], None);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(&simplified, false, 0);
+                let cref = self.db.alloc(ps, false, 0);
                 self.attach(cref);
                 self.stats.arena_bytes = self.db.arena_bytes() as u64;
                 true
