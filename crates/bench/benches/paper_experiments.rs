@@ -284,9 +284,9 @@ fn arena_clone_vs_reemit(c: &mut Criterion) {
 }
 
 /// MaxSAT search strategies on the weighted placement family: the linear
-/// SAT-UNSAT descent, the core-guided lower-bounding search, and the
-/// first-proof-wins race of both. All three prove the same optimum; the
-/// group records how their routes to the proof compare.
+/// SAT-UNSAT descent and the core-guided lower-bounding search. Both
+/// prove the same optimum; the group records how their routes to the
+/// proof compare.
 fn maxsat_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("maxsat_strategies");
     group.sample_size(10);
@@ -294,7 +294,6 @@ fn maxsat_strategies(c: &mut Criterion) {
     for (label, strategy) in [
         ("linear", SearchStrategy::Linear),
         ("core-guided", SearchStrategy::CoreGuided),
-        ("race", SearchStrategy::Race),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
@@ -381,12 +380,13 @@ fn portfolio_width_request(c: &mut Criterion) {
     group.finish();
 }
 
-/// Adaptive dispatch: the feature-sized `Auto` plan against a forced
-/// serial linear solve and a forced 4-wide race, on one small family
-/// (fig3, below the small-instance gate — the dispatcher degenerates to
-/// exactly the serial linear solve, so `auto` must track `serial`) and
-/// one hard family (above it — the dispatcher races heterogeneous
-/// workers, so `auto` must be no slower than the best forced config).
+/// Adaptive dispatch: the feature-sized `Auto` width against a forced
+/// serial solve and a forced 4-wide portfolio, all under the `Auto`
+/// strategy except `serial` (linear), on one small family (fig3, below
+/// the small-instance gate — the dispatcher resolves to exactly the
+/// serial linear solve, so `auto` must track `serial`) and one harder
+/// family (above it — the dispatcher widens the portfolio, so the group
+/// measures what width alone buys).
 fn dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch");
     group.sample_size(10);
@@ -400,9 +400,9 @@ fn dispatch(c: &mut Criterion) {
         ),
     ];
     let configs = [
-        ("auto", Parallelism::Auto, SearchStrategy::Race),
+        ("auto", Parallelism::Auto, SearchStrategy::Auto),
         ("serial", Parallelism::Serial, SearchStrategy::Linear),
-        ("width4", Parallelism::Width(4), SearchStrategy::Race),
+        ("width4", Parallelism::Width(4), SearchStrategy::Auto),
     ];
     for (family, circuit) in &families {
         for (label, parallelism, strategy) in configs {

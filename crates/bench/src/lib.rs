@@ -115,8 +115,7 @@ pub fn pigeonhole_cnf(pigeons: usize, holes: usize) -> Vec<Vec<i64>> {
 /// cost `max(0, pigeons − holes)`. With `pigeons > holes` the linear
 /// strategy must descend from a poor first incumbent while the core-guided
 /// strategy pays exactly `pigeons − holes` cores into its lower bound:
-/// the family behind the `maxsat_strategies` bench group and the
-/// strategy-race regressions.
+/// the family behind the `maxsat_strategies` bench group.
 pub fn placement_wcnf(pigeons: usize, holes: usize) -> maxsat::WcnfInstance {
     let mut inst = maxsat::WcnfInstance::new();
     let var = |p: usize, h: usize| sat::Var::new(p * holes + h).positive();

@@ -443,10 +443,11 @@ impl<'a> RouteRequest<'a> {
         }
         h.usize(self.spec.swaps_per_gap.map_or(0, |n| n + 1));
         h.u64(self.spec.totalizer_units.map_or(0, |u| u.wrapping_add(1)));
+        // Byte 2 is retired (it keyed a strategy no longer offered); the
+        // others keep their values so existing cache keys stay valid.
         h.byte(match self.spec.strategy {
             SearchStrategy::Linear => 0,
             SearchStrategy::CoreGuided => 1,
-            SearchStrategy::Race => 2,
             SearchStrategy::Auto => 3,
         });
         match self.spec.repetition {
@@ -523,7 +524,9 @@ pub enum RouteQuality {
     /// Best-effort only: the escalation ladder fell back to a heuristic
     /// router, or the solver returned an incumbent it could not prove
     /// optimal before the budget died. Usable, but not canonical — caches
-    /// must never memoize it as the answer for the fingerprint.
+    /// must never memoize it as the answer for the fingerprint. A failed
+    /// outcome, which answered nothing, also reports this grade (see
+    /// [`RouteOutcome::quality`]).
     Degraded,
 }
 
@@ -702,9 +705,16 @@ impl RouteOutcome {
         self
     }
 
-    /// The trustworthiness grade of this answer.
+    /// The trustworthiness grade of this answer. A failed outcome answered
+    /// nothing, so it never carries a proven grade: it reports
+    /// [`RouteQuality::Degraded`] whatever it was stamped with, and its
+    /// JSON row says `"quality":null`.
     pub fn quality(&self) -> RouteQuality {
-        self.quality
+        if self.solved() {
+            self.quality
+        } else {
+            RouteQuality::Degraded
+        }
     }
 
     /// How many attempts (first try + retries + fallback) served this
@@ -758,7 +768,11 @@ impl RouteOutcome {
             Some(id) => out.push_str(&format!(",\"request_id\":{id}")),
             None => out.push_str(",\"request_id\":null"),
         }
-        out.push_str(&format!(",\"quality\":\"{}\"", self.quality.label()));
+        if self.solved() {
+            out.push_str(&format!(",\"quality\":\"{}\"", self.quality.label()));
+        } else {
+            out.push_str(",\"quality\":null");
+        }
         out.push_str(&format!(",\"attempts\":{}", self.attempts));
         out.push_str(&format!(",\"worker_panics\":{}", t.worker_panics));
         out.push_str(&format!(",\"cache_hit\":{}", t.cache_hit));
@@ -949,7 +963,7 @@ mod tests {
             vars: hardness,
             ..Default::default()
         };
-        maxsat::dispatch::plan(&features, req.strategy(), req.parallelism()).total_width()
+        maxsat::dispatch::plan(&features, req.strategy(), req.parallelism()).width
     }
 
     #[test]
@@ -1091,6 +1105,24 @@ mod tests {
     }
 
     #[test]
+    fn failed_outcomes_carry_no_proven_grade() {
+        // A failure answered nothing: even stamped Optimal it must not
+        // read as proven, and its row keeps the key with a null grade.
+        for stamp in [RouteQuality::Optimal, RouteQuality::WarmRetry(1)] {
+            let failed = RouteOutcome::new(
+                "satmap",
+                Err(RouteError::Timeout),
+                SolverTelemetry::default(),
+                Duration::from_millis(1),
+            )
+            .with_quality(stamp);
+            assert!(!failed.quality().is_proven(), "stamped {stamp}");
+            let json = failed.to_json();
+            assert!(json.contains("\"quality\":null"), "{json}");
+        }
+    }
+
+    #[test]
     fn request_id_threads_into_telemetry_and_json_but_not_fingerprint() {
         let c = fig3();
         let g = arch::devices::tokyo();
@@ -1135,6 +1167,18 @@ mod tests {
                 .with_parallelism(Parallelism::Width(4))
                 .fingerprint()
         );
+    }
+
+    #[test]
+    fn fingerprint_pins_the_strategy_bytes() {
+        // Cache keys persist across releases: fig3 on Tokyo hashes to
+        // these fixed values under each strategy (bytes 3, 0 and 1).
+        let c = fig3();
+        let g = arch::devices::tokyo();
+        let key = |s| RouteRequest::new(&c, &g).with_strategy(s).fingerprint();
+        assert_eq!(key(SearchStrategy::Auto), 0xaf8c_7eba_1852_ed23);
+        assert_eq!(key(SearchStrategy::Linear), 0xaf82_4cba_184a_43a8);
+        assert_eq!(key(SearchStrategy::CoreGuided), 0xaf85_b2ba_184d_26d1);
     }
 
     #[test]

@@ -173,14 +173,14 @@ mod tests {
             .with_swaps_per_gap(2)
             .with_totalizer_units(7)
             .with_parallelism(Parallelism::Width(3))
-            .with_strategy(circuit::SearchStrategy::Race);
+            .with_strategy(circuit::SearchStrategy::CoreGuided);
         let r = config.resolve(&req);
         assert_eq!(r.slice_size, None);
         assert_eq!(r.swaps_per_gap, 2);
         // Both hints pass through unresolved: the engine's dispatcher is
         // the one place they become a worker plan.
         assert_eq!(r.options.parallelism, Parallelism::Width(3));
-        assert_eq!(r.options.strategy, SearchStrategy::Race);
+        assert_eq!(r.options.strategy, SearchStrategy::CoreGuided);
         assert_eq!(r.options.totalizer_units, 7);
         assert_eq!(r.budget.remaining_time(), Some(Duration::from_secs(3)));
         // A sliced request solves on one worker, whatever its width hint.
@@ -192,11 +192,11 @@ mod tests {
         assert_eq!(sliced.options.parallelism, Parallelism::Serial);
     }
 
-    /// The dispatcher's (linear, core-guided) worker split for the
-    /// request's resolved options on `features`.
-    fn split(r: &Resolved, features: &maxsat::InstanceFeatures) -> (usize, usize) {
+    /// The dispatcher's (strategy, width) plan for the request's resolved
+    /// options on `features`.
+    fn planned(r: &Resolved, features: &maxsat::InstanceFeatures) -> (SearchStrategy, usize) {
         let p = maxsat::dispatch::plan(features, r.options.strategy, r.options.parallelism);
-        (p.linear_width, p.core_width)
+        (p.strategy, p.width)
     }
 
     #[test]
@@ -206,16 +206,10 @@ mod tests {
         let config = SatMapConfig::default();
         let plain = maxsat::InstanceFeatures::default();
         let resolve = |s| config.resolve(&RouteRequest::new(&c, &g).with_strategy(s));
-        for s in [
-            SearchStrategy::Linear,
-            SearchStrategy::CoreGuided,
-            SearchStrategy::Race,
-        ] {
+        for s in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
             assert_eq!(resolve(s).options.strategy, s);
+            assert_eq!(planned(&resolve(s), &plain), (s, 1));
         }
-        assert_eq!(split(&resolve(SearchStrategy::Linear), &plain), (1, 0));
-        assert_eq!(split(&resolve(SearchStrategy::CoreGuided), &plain), (0, 1));
-        assert_eq!(split(&resolve(SearchStrategy::Race), &plain), (1, 1));
         assert_eq!(SearchStrategy::default(), SearchStrategy::Auto);
     }
 
@@ -234,16 +228,16 @@ mod tests {
             weighted_softs: 0,
             ..maxsat::InstanceFeatures::default()
         };
-        assert_eq!(split(&auto, &unweighted), (1, 0));
+        assert_eq!(planned(&auto, &unweighted), (SearchStrategy::Linear, 1));
         let weighted = maxsat::InstanceFeatures {
             soft_clauses: 10,
             weighted_softs: 9,
             ..maxsat::InstanceFeatures::default()
         };
-        assert_eq!(split(&auto, &weighted), (0, 1));
+        assert_eq!(planned(&auto, &weighted), (SearchStrategy::CoreGuided, 1));
         // An explicit knob is never second-guessed by the features.
         let linear =
             config.resolve(&RouteRequest::new(&c, &g).with_strategy(SearchStrategy::Linear));
-        assert_eq!(split(&linear, &weighted), (1, 0));
+        assert_eq!(planned(&linear, &weighted), (SearchStrategy::Linear, 1));
     }
 }

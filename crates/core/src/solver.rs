@@ -112,7 +112,7 @@ pub fn planned_width(
     let features = maxsat::InstanceFeatures::default()
         .with_device(graph.num_qubits())
         .with_encoding_estimate(encoding_estimate(circuit, graph, swaps_per_gap));
-    maxsat::dispatch::plan(&features, strategy, parallelism).total_width()
+    maxsat::dispatch::plan(&features, strategy, parallelism).width
 }
 
 /// The widest worker plan the dispatcher can resolve under `parallelism`
@@ -124,7 +124,7 @@ pub fn plan_ceiling(parallelism: circuit::Parallelism, strategy: circuit::Search
         vars: maxsat::dispatch::MEDIUM_INSTANCE as usize,
         ..maxsat::InstanceFeatures::default()
     };
-    maxsat::dispatch::plan(&hardest, strategy, parallelism).total_width()
+    maxsat::dispatch::plan(&hardest, strategy, parallelism).width
 }
 
 /// Ceiling on [`encoding_estimate`] above which a *budgeted* request is
@@ -241,12 +241,13 @@ pub(crate) fn stamp_quality(outcome: RouteOutcome, proof: &Proof) -> RouteOutcom
 
 /// Stamps the worker plan the engine actually ran: `portfolio_width` is
 /// the dispatched width (peak across the call tree) and `strategy` the
-/// strategy that ran (see [`maxsat::dispatch::strategy_ran`]). Outcomes
-/// that never reached a solver call (validation errors, the memory
-/// guard) ran no plan and carry neither.
+/// strategy that ran (the telemetry's, so the diagnostic can never
+/// disagree with the row's `strategy`). Outcomes that never reached a
+/// solver call (validation errors, the memory guard) ran no plan and
+/// carry neither.
 pub(crate) fn stamp_plan(outcome: RouteOutcome) -> RouteOutcome {
     let telemetry = *outcome.telemetry();
-    let Some(strategy) = maxsat::dispatch::strategy_ran(&telemetry) else {
+    let Some(strategy) = telemetry.strategy else {
         return outcome;
     };
     outcome
@@ -830,7 +831,7 @@ mod tests {
                 circuit::SearchStrategy::Auto,
                 Parallelism::Auto,
             );
-            assert_eq!(plan.total_width(), 1);
+            assert_eq!(plan.width, 1);
         }
     }
 
@@ -861,11 +862,10 @@ mod tests {
                     SearchStrategy::Auto,
                     SearchStrategy::Linear,
                     SearchStrategy::CoreGuided,
-                    SearchStrategy::Race,
                 ] {
                     assert_eq!(
                         planned_width(c, &g, parallelism, strategy, 1),
-                        maxsat::dispatch::plan(&features, strategy, parallelism).total_width(),
+                        maxsat::dispatch::plan(&features, strategy, parallelism).width,
                         "{parallelism:?} {strategy:?}"
                     );
                 }

@@ -3,27 +3,25 @@
 //!
 //! A request carries two hints, [`Parallelism`] and [`SearchStrategy`].
 //! Every layer above the engine passes them down unchanged; [`plan`]
-//! turns them into a concrete [`DispatchPlan`] (how many linear-search
-//! workers and how many core-guided workers) from cheap
-//! [`InstanceFeatures`]. The engine calls it with the features of the
-//! instance it is handed; capacity planners (`satmap::planned_width`,
-//! `satmap::plan_ceiling`) call it with pre-encode features.
+//! turns them into a concrete [`DispatchPlan`] (one search strategy, run
+//! by how many portfolio workers) from cheap [`InstanceFeatures`]. The
+//! engine calls it with the features of the instance it is handed;
+//! capacity planners (`satmap::planned_width`, `satmap::plan_ceiling`)
+//! call it with pre-encode features.
 //!
 //! The bench data behind the tiers: the parallel machinery *loses* on
 //! easy instances (a width-4 portfolio is ~1.4x slower than serial on
-//! fig3, and the strategy race trails plain linear search), so `Auto`
-//! hints spend workers only where the instance is hard. The tiers (measured in variables + hard clauses, or the O(1)
+//! fig3), so `Auto` hints spend workers only where the instance is hard.
+//! The tiers (measured in variables + hard clauses, or the O(1)
 //! `encoding_estimate` before an encoding exists):
 //!
-//! * **small** (below [`SMALL_INSTANCE`]) — one worker, no race: the
-//!   per-call overhead of threads exceeds the whole solve time.
-//! * **medium** (below [`MEDIUM_INSTANCE`]) — at most two workers; a race
-//!   runs one linear against one core-guided worker with bound exchange.
-//! * **hard** — the full [`sat::auto_width`] worker budget, split across
-//!   a heterogeneous linear + core-guided portfolio.
+//! * **small** (below [`SMALL_INSTANCE`]) — one worker: the per-call
+//!   overhead of threads exceeds the whole solve time.
+//! * **medium** (below [`MEDIUM_INSTANCE`]) — at most two workers.
+//! * **hard** — the full [`sat::auto_width`] worker budget.
 //!
 //! An explicit width (`Parallelism::Serial` or `Parallelism::Width`) is
-//! always honored — the dispatcher only decides the strategy mix for it.
+//! always honored.
 
 use sat::{Parallelism, SearchStrategy};
 
@@ -35,12 +33,6 @@ pub const SMALL_INSTANCE: u64 = 5000;
 
 /// Hardness below which a request is *medium*: at most two workers.
 pub const MEDIUM_INSTANCE: u64 = 4 * SMALL_INSTANCE;
-
-/// Diversification seed of the core-guided worker group in a heterogeneous
-/// race (the linear group keeps seed 0, the historical base
-/// configuration). A stable constant so fault-injection tests can target
-/// exactly the core-guided group via [`sat::FaultPlan`]'s `panic_tag`.
-pub const CORE_ROLE_SEED: u64 = 0xC0DE_5EED_0000_0001;
 
 /// Cheap, O(instance-header) features the dispatcher sizes a plan from.
 ///
@@ -119,68 +111,27 @@ impl InstanceFeatures {
     }
 }
 
-/// A concrete worker plan: how many workers run each strategy. Produced
-/// by [`plan`].
+/// A concrete worker plan: one search strategy, run by `width` portfolio
+/// workers. Produced by [`plan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchPlan {
-    /// Workers running the model-improving linear SAT-UNSAT search.
-    pub linear_width: usize,
-    /// Workers running the OLL core-guided search.
-    pub core_width: usize,
+    /// The strategy the solve runs: [`SearchStrategy::Linear`] or
+    /// [`SearchStrategy::CoreGuided`], never `Auto`.
+    pub strategy: SearchStrategy,
+    /// Portfolio workers per SAT call (at least 1).
+    pub width: usize,
     /// The hardness signal the plan was sized from (recorded for
     /// telemetry rows, so per-family bias mining has data).
     pub hardness: u64,
 }
 
 impl DispatchPlan {
-    /// Total worker count across both strategy groups.
-    pub fn total_width(&self) -> usize {
-        self.linear_width + self.core_width
-    }
-
-    /// The strategy this plan runs: a single group's strategy, or
-    /// [`SearchStrategy::Race`] for a mixed plan. Never `Auto`.
-    pub fn strategy(&self) -> SearchStrategy {
-        match (self.linear_width, self.core_width) {
-            (_, 0) => SearchStrategy::Linear,
-            (0, _) => SearchStrategy::CoreGuided,
-            _ => SearchStrategy::Race,
-        }
-    }
-
-    /// Stable label of the strategy mix for telemetry rows.
+    /// Stable label of the plan's strategy for telemetry rows
+    /// (`"linear"` or `"core-guided"`).
     pub fn mix_label(&self) -> &'static str {
-        match self.strategy() {
+        match self.strategy {
             SearchStrategy::CoreGuided => "core-guided",
-            SearchStrategy::Race => MIXED_LABEL,
             _ => "linear",
-        }
-    }
-}
-
-/// The [`DispatchPlan::mix_label`] of a mixed (racing) plan.
-const MIXED_LABEL: &str = "linear+core-guided";
-
-/// The strategy a finished solve actually ran, read back from its
-/// telemetry: `"race"` when the widest dispatched plan was mixed, else
-/// the name of the strategy that answered. `None` when no dispatched
-/// solve ran. This is what routers report as their `strategy`
-/// diagnostic, so it can never disagree with the row's `strategy`.
-pub fn strategy_ran(telemetry: &sat::SolverTelemetry) -> Option<&'static str> {
-    match telemetry.dispatch_mix {
-        Some(MIXED_LABEL) => Some(SearchStrategy::Race.name()),
-        Some(_) => telemetry.strategy,
-        None => None,
-    }
-}
-
-impl Default for DispatchPlan {
-    /// The conservative plan: one linear worker.
-    fn default() -> Self {
-        DispatchPlan {
-            linear_width: 1,
-            core_width: 0,
-            hardness: 0,
         }
     }
 }
@@ -219,24 +170,16 @@ pub fn prefers_core(features: &InstanceFeatures) -> bool {
 ///   most 2 below [`MEDIUM_INSTANCE`], the machine-sized
 ///   [`sat::auto_width`] beyond; `Serial` and `Width(n)` are honored
 ///   as-is (`Width(0)` clamps to 1).
-/// * `Race` on a small `Auto` request degenerates to a single worker —
-///   linear, or core-guided when [`prefers_core`] says the objective is
-///   weighted (the race overhead loses on small instances either way,
-///   per the bench data); otherwise the width splits into a
-///   heterogeneous linear + core-guided worker set, with the rounding
-///   benefit going to the strategy [`prefers_core`] favors. A forced
-///   width of 1 still races one worker per strategy — an explicit race
-///   request always gets both strategies.
 ///
 /// # Examples
 ///
 /// ```
 /// use maxsat::{dispatch, InstanceFeatures, Parallelism, SearchStrategy};
 /// let small = InstanceFeatures { vars: 100, hard_clauses: 50, ..Default::default() };
-/// let p = dispatch::plan(&small, SearchStrategy::Race, Parallelism::Auto);
-/// assert_eq!((p.linear_width, p.core_width), (1, 0));
-/// let forced = dispatch::plan(&small, SearchStrategy::Race, Parallelism::Width(4));
-/// assert_eq!((forced.linear_width, forced.core_width), (2, 2));
+/// let p = dispatch::plan(&small, SearchStrategy::Auto, Parallelism::Auto);
+/// assert_eq!((p.strategy, p.width), (SearchStrategy::Linear, 1));
+/// let forced = dispatch::plan(&small, SearchStrategy::CoreGuided, Parallelism::Width(4));
+/// assert_eq!((forced.strategy, forced.width), (SearchStrategy::CoreGuided, 4));
 /// ```
 pub fn plan(
     features: &InstanceFeatures,
@@ -244,39 +187,21 @@ pub fn plan(
     parallelism: Parallelism,
 ) -> DispatchPlan {
     let hardness = features.hardness();
-    let total = match parallelism {
+    let width = match parallelism {
         Parallelism::Serial => 1,
         Parallelism::Width(n) => n.max(1),
         Parallelism::Auto if hardness < SMALL_INSTANCE => 1,
         Parallelism::Auto if hardness < MEDIUM_INSTANCE => sat::auto_width().min(2),
         Parallelism::Auto => sat::auto_width(),
     };
-    let (linear_width, core_width) = match strategy {
-        SearchStrategy::Auto if prefers_core(features) => (0, total),
-        SearchStrategy::Auto | SearchStrategy::Linear => (total, 0),
-        SearchStrategy::CoreGuided => (0, total),
-        SearchStrategy::Race => {
-            if parallelism == Parallelism::Auto && hardness < SMALL_INSTANCE {
-                // The race overhead loses on small instances; a single
-                // worker of the feature-preferred strategy is the
-                // measured winner there.
-                if prefers_core(features) {
-                    (0, total)
-                } else {
-                    (total, 0)
-                }
-            } else if prefers_core(features) {
-                // Weighted objective: the core-guided group gets the
-                // rounding benefit of an odd width.
-                ((total / 2).max(1), total.div_ceil(2))
-            } else {
-                (total.div_ceil(2), (total / 2).max(1))
-            }
-        }
+    let strategy = match strategy {
+        SearchStrategy::Auto if prefers_core(features) => SearchStrategy::CoreGuided,
+        SearchStrategy::Auto => SearchStrategy::Linear,
+        explicit => explicit,
     };
     DispatchPlan {
-        linear_width,
-        core_width,
+        strategy,
+        width,
         hardness,
     }
 }
@@ -298,14 +223,13 @@ mod tests {
             SearchStrategy::Auto,
             SearchStrategy::Linear,
             SearchStrategy::CoreGuided,
-            SearchStrategy::Race,
         ] {
             let p = plan(&features(SMALL_INSTANCE - 1), strategy, Parallelism::Auto);
-            assert_eq!(p.total_width(), 1, "{strategy:?}");
+            assert_eq!(p.width, 1, "{strategy:?}");
         }
-        // The race specifically degenerates to linear — no second thread.
-        let p = plan(&features(10), SearchStrategy::Race, Parallelism::Auto);
-        assert_eq!((p.linear_width, p.core_width), (1, 0));
+        // An unweighted Auto request resolves to the linear search.
+        let p = plan(&features(10), SearchStrategy::Auto, Parallelism::Auto);
+        assert_eq!((p.strategy, p.width), (SearchStrategy::Linear, 1));
         assert_eq!(p.mix_label(), "linear");
     }
 
@@ -316,40 +240,31 @@ mod tests {
             SearchStrategy::Linear,
             Parallelism::Auto,
         );
-        assert!(medium.total_width() <= 2);
+        assert!(medium.width <= 2);
         let hard = plan(
             &features(MEDIUM_INSTANCE),
             SearchStrategy::Linear,
             Parallelism::Auto,
         );
-        assert_eq!(hard.total_width(), sat::auto_width());
-        assert!(hard.total_width() >= medium.total_width());
+        assert_eq!(hard.width, sat::auto_width());
+        assert!(hard.width >= medium.width);
     }
 
     #[test]
-    fn forced_widths_are_honored_and_split_across_the_race() {
-        // An explicit width is never second-guessed, only mixed.
-        let p = plan(&features(10), SearchStrategy::Race, Parallelism::Width(3));
-        assert_eq!((p.linear_width, p.core_width), (2, 1));
-        assert_eq!(p.total_width(), 3);
-        assert_eq!(p.mix_label(), "linear+core-guided");
-        // A forced serial race still runs one worker per strategy (the
-        // historical race shape): the caller explicitly asked to race.
-        let serial = plan(&features(10), SearchStrategy::Race, Parallelism::Width(1));
-        assert_eq!((serial.linear_width, serial.core_width), (1, 1));
-        // Non-race strategies take the width whole.
+    fn forced_widths_are_honored() {
+        // An explicit width is never second-guessed, whatever the strategy.
         let linear = plan(&features(10), SearchStrategy::Linear, Parallelism::Width(4));
-        assert_eq!((linear.linear_width, linear.core_width), (4, 0));
+        assert_eq!((linear.strategy, linear.width), (SearchStrategy::Linear, 4));
         let core = plan(
             &features(10),
             SearchStrategy::CoreGuided,
-            Parallelism::Width(4),
+            Parallelism::Width(3),
         );
-        assert_eq!((core.linear_width, core.core_width), (0, 4));
+        assert_eq!((core.strategy, core.width), (SearchStrategy::CoreGuided, 3));
         assert_eq!(core.mix_label(), "core-guided");
         // Width 0 clamps to 1 like everywhere else in the stack.
         assert_eq!(
-            plan(&features(10), SearchStrategy::Linear, Parallelism::Width(0)).total_width(),
+            plan(&features(10), SearchStrategy::Linear, Parallelism::Width(0)).width,
             1
         );
     }
@@ -361,7 +276,7 @@ mod tests {
         for hardness in [10, SMALL_INSTANCE, MEDIUM_INSTANCE] {
             for strategy in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
                 let p = plan(&features(hardness), strategy, Parallelism::Serial);
-                assert_eq!(p.total_width(), 1, "{strategy:?} at hardness {hardness}");
+                assert_eq!(p.width, 1, "{strategy:?} at hardness {hardness}");
             }
         }
     }
@@ -385,44 +300,16 @@ mod tests {
             Parallelism::Auto,
         ] {
             let p = plan(&unweighted, SearchStrategy::Auto, parallelism);
-            assert_eq!(p.strategy(), SearchStrategy::Linear, "{parallelism:?}");
+            assert_eq!(p.strategy, SearchStrategy::Linear, "{parallelism:?}");
             let p = plan(&weighted, SearchStrategy::Auto, parallelism);
-            assert_eq!(p.strategy(), SearchStrategy::CoreGuided, "{parallelism:?}");
+            assert_eq!(p.strategy, SearchStrategy::CoreGuided, "{parallelism:?}");
         }
         // An explicit strategy is never second-guessed by the features.
-        for explicit in [
-            SearchStrategy::Linear,
-            SearchStrategy::CoreGuided,
-            SearchStrategy::Race,
-        ] {
+        for explicit in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
             for f in [&unweighted, &weighted] {
-                assert_eq!(plan(f, explicit, Parallelism::Serial).strategy(), explicit);
+                assert_eq!(plan(f, explicit, Parallelism::Serial).strategy, explicit);
             }
         }
-    }
-
-    #[test]
-    fn strategy_ran_names_the_race_or_the_answering_strategy() {
-        let mut t = sat::SolverTelemetry::new();
-        assert_eq!(strategy_ran(&t), None, "no dispatched solve ran");
-        t.strategy = Some("core-guided");
-        t.dispatch_mix = Some(
-            plan(
-                &features(10),
-                SearchStrategy::CoreGuided,
-                Parallelism::Serial,
-            )
-            .mix_label(),
-        );
-        assert_eq!(strategy_ran(&t), Some("core-guided"));
-        t.strategy = Some("linear-sat-unsat");
-        t.dispatch_mix =
-            Some(plan(&features(10), SearchStrategy::Race, Parallelism::Serial).mix_label());
-        assert_eq!(
-            strategy_ran(&t),
-            Some("race"),
-            "a race is named, not its winner"
-        );
     }
 
     #[test]
@@ -475,34 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_races_bias_the_core_guided_group() {
-        let weighted = InstanceFeatures {
-            vars: 10,
-            soft_clauses: 6,
-            weighted_softs: 6,
-            ..Default::default()
-        };
-        // Small Auto race degenerates to a single core-guided worker.
-        let small = plan(&weighted, SearchStrategy::Race, Parallelism::Auto);
-        assert_eq!((small.linear_width, small.core_width), (0, 1));
-        assert_eq!(small.mix_label(), "core-guided");
-        // An odd forced width gives the core-guided group the extra
-        // worker; the unweighted split is mirrored.
-        let odd = plan(&weighted, SearchStrategy::Race, Parallelism::Width(3));
-        assert_eq!((odd.linear_width, odd.core_width), (1, 2));
-        let serial = plan(&weighted, SearchStrategy::Race, Parallelism::Width(1));
-        assert_eq!(
-            (serial.linear_width, serial.core_width),
-            (1, 1),
-            "an explicit race always gets both strategies"
-        );
-    }
-
-    #[test]
     fn plan_is_deterministic_and_recorded() {
         let f = features(SMALL_INSTANCE + 7);
-        let a = plan(&f, SearchStrategy::Race, Parallelism::Width(4));
-        let b = plan(&f, SearchStrategy::Race, Parallelism::Width(4));
+        let a = plan(&f, SearchStrategy::CoreGuided, Parallelism::Width(4));
+        let b = plan(&f, SearchStrategy::CoreGuided, Parallelism::Width(4));
         assert_eq!(a, b);
         assert_eq!(a.hardness, SMALL_INSTANCE + 7);
     }

@@ -48,5 +48,5 @@ pub use solve::{
     solve, solve_with_backend, solve_with_options, solve_with_session, MaxSatOutcome, MaxSatStatus,
     SolveOptions,
 };
-pub use strategy::{CoreGuided, LinearSatUnsat, RaceBounds, Search, SearchContext};
+pub use strategy::{CoreGuided, LinearSatUnsat, Search, SearchContext};
 pub use wcnf::WcnfInstance;

@@ -84,8 +84,7 @@ pub struct MaxSatSession<B: SatBackend> {
 impl<B: SatBackend> MaxSatSession<B> {
     /// True when this session may warm-start a solve of `instance` that
     /// the dispatcher resolved to `strategy` under `options`: same
-    /// instance shape, same quantization, same strategy. (`Race` never
-    /// resumes — its racers hold two divergent encodings.)
+    /// instance shape, same quantization, same strategy.
     pub fn compatible(
         &self,
         instance: &WcnfInstance,
@@ -93,7 +92,6 @@ impl<B: SatBackend> MaxSatSession<B> {
         options: &SolveOptions,
     ) -> bool {
         strategy == self.strategy
-            && strategy != SearchStrategy::Race
             && instance.num_vars() == self.instance_vars
             && instance.hard_clauses().len() == self.hard_count
             && instance.soft_clauses().len() == self.soft_count

@@ -4,12 +4,12 @@
 //! engine that keeps the best model found so far and returns it when the
 //! budget expires — the property SATMAP relies on for large circuits. The
 //! search itself is pluggable (see [`crate::strategy`]): the classic
-//! model-improving [`crate::LinearSatUnsat`] loop (default), the
-//! core-guided [`crate::CoreGuided`] lower-bounding search, or a
-//! [`SearchStrategy::Race`] of both with first-proof-wins semantics.
-//! [`SolveOptions`] carries the request's two hints ([`Parallelism`] and
-//! [`SearchStrategy`]) unchanged; every solve resolves them against the
-//! instance it is handed through [`crate::dispatch::plan`].
+//! model-improving [`crate::LinearSatUnsat`] loop (default) or the
+//! core-guided [`crate::CoreGuided`] lower-bounding search; every solve
+//! runs exactly one of them. [`SolveOptions`] carries the request's two
+//! hints ([`Parallelism`] and [`SearchStrategy`]) unchanged; every solve
+//! resolves them against the instance it is handed through
+//! [`crate::dispatch::plan`].
 //!
 //! The engine is generic over [`SatBackend`]; [`solve`] instantiates it
 //! with the workspace default, and [`solve_with_backend`] lets callers
@@ -21,7 +21,7 @@ use sat::{Parallelism, ResourceBudget, SatBackend, SearchStrategy, SolverTelemet
 
 use crate::dispatch::{self, DispatchPlan, InstanceFeatures};
 use crate::session::MaxSatSession;
-use crate::strategy::{run_plan, CoreGuided, LinearSatUnsat, Search, SearchContext};
+use crate::strategy::{CoreGuided, LinearSatUnsat, Search, SearchContext};
 use crate::wcnf::WcnfInstance;
 
 /// Status of a completed MaxSAT search.
@@ -79,8 +79,7 @@ pub struct SolveOptions {
     pub core_exhaustion: bool,
     /// Core-guided search only: assert a soft hard once its remaining
     /// weight exceeds the incumbent-minus-lower-bound gap (no improving
-    /// model can afford to falsify it). Inside a race the gap also uses
-    /// the peer group's incumbent.
+    /// model can afford to falsify it).
     pub core_hardening: bool,
     /// Core-guided search only: SAT-call cap for the destructive
     /// core-trimming pass ([`sat::trim_core`]) run before each relaxation;
@@ -176,12 +175,22 @@ fn resolved_plan(instance: &WcnfInstance, options: &SolveOptions) -> DispatchPla
     )
 }
 
-/// Records the dispatch decision on the outcome's telemetry so it reaches
-/// `RouteOutcome::to_json` and the NDJSON rows.
-fn stamp_dispatch(outcome: &mut MaxSatOutcome, plan: DispatchPlan) {
-    outcome.telemetry.dispatch_width = plan.total_width() as u32;
+/// Runs `plan`'s one strategy over `ctx` at the plan's portfolio width,
+/// and records the dispatch decision on the outcome's telemetry so it
+/// reaches `RouteOutcome::to_json` and the NDJSON rows.
+fn run_plan<B: SatBackend + Default>(
+    ctx: &mut SearchContext<'_, B>,
+    plan: DispatchPlan,
+) -> MaxSatOutcome {
+    ctx.set_width(plan.width);
+    let mut outcome = match plan.strategy {
+        SearchStrategy::CoreGuided => CoreGuided.search(ctx),
+        _ => LinearSatUnsat.search(ctx),
+    };
+    outcome.telemetry.dispatch_width = plan.width as u32;
     outcome.telemetry.dispatch_mix = Some(plan.mix_label());
     outcome.telemetry.dispatch_hardness = plan.hardness;
+    outcome
 }
 
 /// Result of [`solve`]: status plus the best model and its cost, if any.
@@ -198,8 +207,7 @@ pub struct MaxSatOutcome {
     /// Weight quantum the totalizer was built with (`1` = exact weights;
     /// larger quanta can only claim [`MaxSatStatus::Feasible`]).
     pub quantum: u64,
-    /// Name of the search strategy that produced this outcome — for a
-    /// [`SearchStrategy::Race`], the racer whose answer was kept.
+    /// Name of the search strategy that produced this outcome.
     pub strategy: &'static str,
     /// Solver effort spent answering this call.
     pub telemetry: SolverTelemetry,
@@ -241,7 +249,7 @@ pub fn solve(instance: &WcnfInstance, budget: ResourceBudget) -> MaxSatOutcome {
 }
 
 /// [`solve`] with an explicit [`SatBackend`] implementation.
-pub fn solve_with_backend<B: SatBackend + Default + Send>(
+pub fn solve_with_backend<B: SatBackend + Default>(
     instance: &WcnfInstance,
     budget: ResourceBudget,
 ) -> MaxSatOutcome {
@@ -250,20 +258,19 @@ pub fn solve_with_backend<B: SatBackend + Default + Send>(
 
 /// [`solve`] with an explicit backend and engine tunables: resolves the
 /// options' hints into a worker plan (see [`crate::dispatch::plan`]) and
-/// runs it over a freshly encoded [`SearchContext`](crate::SearchContext).
-/// Single-strategy plans run inline on one backend of the plan's width;
-/// a mixed plan races a linear group against a core-guided group
-/// (`crate::strategy::run_plan`). (`Send` bounds the backend so a race
-/// can run its worker groups on scoped threads.)
-pub fn solve_with_options<B: SatBackend + Default + Send>(
+/// runs its one strategy over a freshly encoded
+/// [`SearchContext`](crate::SearchContext), on one backend of the plan's
+/// width.
+pub fn solve_with_options<B: SatBackend + Default>(
     instance: &WcnfInstance,
     budget: &ResourceBudget,
     options: &SolveOptions,
 ) -> MaxSatOutcome {
     let plan = resolved_plan(instance, options);
-    let mut outcome = run_plan::<B>(instance, budget, options, plan);
-    stamp_dispatch(&mut outcome, plan);
-    outcome
+    run_plan(
+        &mut SearchContext::<B>::new(instance, budget, options),
+        plan,
+    )
 }
 
 /// [`solve_with_options`] with warm-start session reuse: a prior solve of
@@ -277,41 +284,28 @@ pub fn solve_with_options<B: SatBackend + Default + Send>(
 /// routing layers key sessions by a canonical request fingerprint to
 /// guarantee it, and [`MaxSatSession::compatible`] additionally rejects
 /// obvious shape mismatches (falling back to a cold solve, never
-/// corrupting). A mixed (racing) plan never resumes: its two racers hold
-/// divergent private encodings; the session is left untouched so a later
-/// non-race call can still use it.
+/// corrupting).
 ///
 /// Warm outcomes report `telemetry.warm_start = true` with
 /// `telemetry.reused_clauses` counting the carried arena. See
 /// [`MaxSatSession`] for the conservative-extension argument for why
 /// clause reuse cannot change answers.
-pub fn solve_with_session<B: SatBackend + Default + Send>(
+pub fn solve_with_session<B: SatBackend + Default>(
     instance: &WcnfInstance,
     budget: &ResourceBudget,
     options: &SolveOptions,
     session: &mut Option<MaxSatSession<B>>,
 ) -> MaxSatOutcome {
     let plan = resolved_plan(instance, options);
-    let strategy = plan.strategy();
-    if strategy == SearchStrategy::Race {
-        let mut outcome = run_plan::<B>(instance, budget, options, plan);
-        stamp_dispatch(&mut outcome, plan);
-        return outcome;
-    }
     let resumed = session
         .take()
-        .filter(|s| s.compatible(instance, strategy, options));
+        .filter(|s| s.compatible(instance, plan.strategy, options));
     let mut ctx = match resumed {
         Some(s) => SearchContext::resume(s, instance, budget, options),
         None => SearchContext::<B>::new(instance, budget, options),
     };
-    ctx.set_width(plan.total_width());
-    let mut outcome = match strategy {
-        SearchStrategy::CoreGuided => CoreGuided.search(&mut ctx),
-        _ => LinearSatUnsat.search(&mut ctx),
-    };
-    *session = Some(ctx.into_session(strategy, options, &outcome));
-    stamp_dispatch(&mut outcome, plan);
+    let outcome = run_plan(&mut ctx, plan);
+    *session = Some(ctx.into_session(plan.strategy, options, &outcome));
     outcome
 }
 
@@ -583,37 +577,6 @@ mod tests {
             assert_eq!(warm.cost, cold.cost);
             assert!(warm.telemetry.warm_start);
         }
-    }
-
-    #[test]
-    fn race_strategy_leaves_the_session_untouched() {
-        let inst = session_instance();
-        let options = SolveOptions::default();
-        let mut session = None;
-        let cold = solve_with_session::<sat::DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &options,
-            &mut session,
-        );
-        let race_opts = options.with_strategy(SearchStrategy::Race);
-        let raced = solve_with_session::<sat::DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &race_opts,
-            &mut session,
-        );
-        assert_eq!(raced.cost, cold.cost);
-        assert!(!raced.telemetry.warm_start);
-        // The linear session survived the race and still resumes.
-        let warm = solve_with_session::<sat::DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &options,
-            &mut session,
-        );
-        assert_eq!(warm.cost, cold.cost);
-        assert!(warm.telemetry.warm_start);
     }
 
     /// Brute-force reference for small weighted instances.

@@ -1,4 +1,4 @@
-//! Search strategies of the MaxSAT engine, and the driver that races them.
+//! Search strategies of the MaxSAT engine.
 //!
 //! The engine's optimality search is factored into a [`Search`]
 //! over a shared [`SearchContext`] (solver, soft-clause indicators, weight
@@ -15,91 +15,20 @@
 //!   bound walks up one output at a time. The first SAT answer *is* the
 //!   optimum. Strong when the optimum is small and cores are local.
 //!
-//! Neither dominates — which is why [`SearchStrategy::Race`] runs both. Races
-//! execute through the unified plan engine (`run_plan`): the
-//! instance-feature dispatcher ([`crate::dispatch`]) sizes a worker plan
-//! (how many linear workers, how many core-guided), each strategy
-//! *group* runs as a [`sat::PortfolioBackend`] worker set carrying its
-//! own [`sat::WorkerRole`] (diversification seed), and the first group
-//! to return a *proof* (an `Optimal` or `Unsat` answer) cancels the
-//! other through the shared [`sat::CancelToken`] chain.
-//! Small instances degenerate to a single inline linear search — no
-//! threads, no race overhead at all.
-//!
-//! Racing groups share no learned clauses; they cooperate only by
-//! exchanging *bounds* through [`RaceBounds`] — the linear group receives
-//! the core-guided group's proved lower bound (closing its final UNSAT
-//! call early), the core-guided group receives the incumbent cost
-//! (stopping once the incumbent provably meets its bound, and hardening
-//! softs against it).
+//! Every solve runs exactly one of them: the instance-feature dispatcher
+//! ([`crate::dispatch`]) picks the strategy and the portfolio width, and
+//! the width only changes how many diversified SAT workers each call of
+//! that one search races ([`sat::PortfolioBackend`]).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sat::{
-    Lit, ResourceBudget, SatBackend, SearchStrategy, SolveResult, SolverTelemetry, Stats,
-    WorkerRole,
-};
+use sat::{Lit, ResourceBudget, SatBackend, SearchStrategy, SolveResult, SolverTelemetry, Stats};
 
-use crate::dispatch::{DispatchPlan, CORE_ROLE_SEED};
 use crate::encodings::Totalizer;
 use crate::session::MaxSatSession;
 use crate::solve::{MaxSatOutcome, MaxSatStatus, SolveOptions};
 use crate::wcnf::WcnfInstance;
-
-/// Bounds exchanged between the racing strategy groups of a worker plan,
-/// in quantized cost units (both groups quantize identically — the
-/// quantum depends only on the instance and `totalizer_units`).
-///
-/// Monotone by construction: the lower bound only rises
-/// (`fetch_max`), the incumbent only falls (`fetch_min`) — so a stale
-/// read is always *conservative*, never unsound.
-#[derive(Debug)]
-pub struct RaceBounds {
-    /// Highest lower bound proved by any core-guided worker.
-    lower: AtomicU64,
-    /// Quantized cost of the best model observed by any worker.
-    incumbent: AtomicU64,
-}
-
-impl RaceBounds {
-    /// Fresh bounds: nothing proved (`lower = 0`), no incumbent
-    /// (`incumbent = u64::MAX`).
-    pub fn new() -> Self {
-        RaceBounds {
-            lower: AtomicU64::new(0),
-            incumbent: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Raises the proved lower bound (never lowers it).
-    pub fn publish_lower(&self, q_bound: u64) {
-        self.lower.fetch_max(q_bound, Ordering::Relaxed);
-    }
-
-    /// The highest lower bound published so far.
-    pub fn lower(&self) -> u64 {
-        self.lower.load(Ordering::Relaxed)
-    }
-
-    /// Lowers the incumbent cost (never raises it).
-    pub fn publish_incumbent(&self, q_cost: u64) {
-        self.incumbent.fetch_min(q_cost, Ordering::Relaxed);
-    }
-
-    /// The lowest incumbent cost published so far.
-    pub fn incumbent(&self) -> u64 {
-        self.incumbent.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for RaceBounds {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Conflict cap for core-trimming probes: probes refine a relaxation the
 /// main loop already paid for, so one may never cost a main-loop call's
@@ -158,10 +87,6 @@ pub struct SearchContext<'a, B: SatBackend> {
     core_exhaustion: bool,
     core_hardening: bool,
     core_trim_probes: u32,
-    /// Cross-group bound exchange, attached only when this context races
-    /// inside a heterogeneous worker plan; `None` leaves every bound
-    /// check inert.
-    bounds: Option<Arc<RaceBounds>>,
 }
 
 impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
@@ -237,7 +162,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             core_exhaustion: options.core_exhaustion,
             core_hardening: options.core_hardening,
             core_trim_probes: options.core_trim_probes,
-            bounds: None,
         }
     }
 
@@ -293,7 +217,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             core_exhaustion: options.core_exhaustion,
             core_hardening: options.core_hardening,
             core_trim_probes: options.core_trim_probes,
-            bounds: None,
         }
     }
 
@@ -400,46 +323,11 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             .collect()
     }
 
-    /// Wires the context into a cross-group bound exchange (used by
-    /// `run_plan` when both strategy groups are populated). Models
-    /// observed afterwards publish their quantized cost as the shared
-    /// incumbent.
-    pub fn attach_bounds(&mut self, bounds: Arc<RaceBounds>) {
-        self.bounds = Some(bounds);
-    }
-
-    /// Applies a worker-plan role (strategy label + diversification seed)
-    /// to the backend — how `run_plan` differentiates its strategy
-    /// groups on one backend type.
-    pub fn apply_role(&mut self, role: &WorkerRole) {
-        self.solver.set_worker_role(role);
-    }
-
     /// Sets how many portfolio workers the backend races per SAT call
     /// (see [`sat::SatBackend::set_portfolio_width`]; single-threaded
     /// backends ignore it). The engine sets it from its dispatch plan.
     pub fn set_width(&mut self, width: usize) {
         self.solver.set_portfolio_width(width);
-    }
-
-    /// The highest lower bound proved by a racing core-guided group (0
-    /// without an attached exchange — the check is inert).
-    pub fn shared_lower_bound(&self) -> u64 {
-        self.bounds.as_ref().map_or(0, |b| b.lower())
-    }
-
-    /// The lowest incumbent cost any racing group observed (`u64::MAX`
-    /// without an attached exchange — the check is inert).
-    pub fn shared_incumbent(&self) -> u64 {
-        self.bounds.as_ref().map_or(u64::MAX, |b| b.incumbent())
-    }
-
-    /// Publishes a proved (quantized) lower bound to the racing peer
-    /// group; a no-op without an attached exchange.
-    pub fn publish_lower_bound(&self, q_bound: u64) {
-        if let Some(bounds) = &self.bounds {
-            bounds.publish_lower(q_bound);
-        }
     }
 
     /// One SAT call under `assumptions` within the shared budget, with the
@@ -549,8 +437,8 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// model better than the incumbent, so it is asserted hard (a unit
     /// clause) and dropped from the assumption lists for the rest of the
     /// search. `paid` is the lower bound proved so far; the upper bound is
-    /// the better of the own incumbent and the race-shared one (both are
-    /// backed by actual models, so the hardened formula stays satisfiable).
+    /// the incumbent (backed by an actual model, so the hardened formula
+    /// stays satisfiable).
     ///
     /// Sound for the search's claim because hardening only excludes models
     /// whose quantized cost provably exceeds the incumbent's — every
@@ -565,15 +453,10 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         if !self.core_hardening {
             return 0;
         }
-        let own = if self.best_model.is_some() {
-            self.best_q_cost
-        } else {
-            u64::MAX
-        };
-        let ub = own.min(self.shared_incumbent());
-        if ub == u64::MAX {
+        if self.best_model.is_none() {
             return 0;
         }
+        let ub = self.best_q_cost;
         let mut count = 0u64;
         let mut harden_list =
             |solver: &mut B, hardened: &mut Vec<Lit>, list: &mut Vec<(Lit, u64)>| {
@@ -659,11 +542,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             self.best_cost = cost;
             self.best_q_cost = q_cost;
             self.best_model = Some(model);
-        }
-        // Any model's quantized cost is a valid upper bound for the
-        // racing peer group, incumbent or not.
-        if let Some(bounds) = &self.bounds {
-            bounds.publish_incumbent(q_cost);
         }
         (cost, q_cost)
     }
@@ -784,15 +662,6 @@ impl Search for LinearSatUnsat {
             if ctx.budget_expired() {
                 break ctx.finish_exhausted(self.name());
             }
-            // Bound exchange: once the racing core-guided group has proved
-            // a lower bound our incumbent meets, the incumbent *is* the
-            // quantized optimum — the closing UNSAT call is unnecessary.
-            // (Sound because no quantized model can cost less than a
-            // proved lower bound, and the bound only ever rises.)
-            if ctx.has_model() && ctx.best_q_cost() <= ctx.shared_lower_bound() {
-                let status = ctx.proved_status();
-                break ctx.finish(status, self.name());
-            }
             let assumptions: Vec<Lit> = bound.into_iter().collect();
             match ctx.solve(&assumptions) {
                 SolveResult::Sat => {
@@ -904,14 +773,11 @@ impl Search for CoreGuided {
         ctx.record_strata(1 + pending.len() as u64);
         let mut relaxations: Vec<Totalizer> = Vec::new();
         let mut successors: HashMap<Lit, RelaxSource> = HashMap::new();
-        // Lower bound proved *by this call* (core payments), published to
-        // a racing linear group through the bound exchange. Starts at 0
+        // Lower bound proved *by this call* (core payments). Starts at 0
         // even on a warm resume — prior payments are implicit in the
-        // reduced weights and were never shared — so everything published
-        // is freshly proved from the conservative-extension clause DB.
-        // Payments stay sound while strata are pending: a core over the
-        // heavy strata lower-bounds the full objective because the
-        // unfolded light softs can only add cost.
+        // reduced weights. Payments stay sound while strata are pending: a
+        // core over the heavy strata lower-bounds the full objective
+        // because the unfolded light softs can only add cost.
         let mut paid: u64 = 0;
 
         let outcome = loop {
@@ -924,14 +790,6 @@ impl Search for CoreGuided {
             if ctx.has_model() && ctx.best_q_cost() <= paid {
                 let status = ctx.proved_status();
                 break ctx.finish(status, self.name());
-            }
-            // Bound exchange: once a racing peer holds a *better* model
-            // whose cost our own lower bound already matches, that
-            // incumbent is the quantized optimum and the peer will prove
-            // it — stop burning budget. No proof is claimed here (the
-            // exhausted exit never contends for the win).
-            if ctx.shared_incumbent() <= paid {
-                break ctx.finish_exhausted(self.name());
             }
             let assumptions: Vec<Lit> = active.iter().map(|&(l, _)| l).collect();
             match ctx.solve(&assumptions) {
@@ -970,7 +828,6 @@ impl Search for CoreGuided {
                         .min()
                         .expect("core literals are active assumptions");
                     paid += min_w;
-                    ctx.publish_lower_bound(paid);
                     // Pay min_w into the lower bound: every core member's
                     // weight drops by it, and members reaching zero retire.
                     for c in &core {
@@ -1007,7 +864,6 @@ impl Search for CoreGuided {
                                 match ctx.probe(&[!o], EXHAUST_CONFLICT_CAP) {
                                     SolveResult::Unsat => {
                                         paid += min_w;
-                                        ctx.publish_lower_bound(paid);
                                         ctx.count_exhaustion_step();
                                         bound += 1;
                                     }
@@ -1039,150 +895,6 @@ impl Search for CoreGuided {
         ctx.stash_pending(pending);
         outcome
     }
-}
-
-/// Runs a [`DispatchPlan`] — the execution engine behind every cold
-/// solve ([`crate::solve_with_options`]) and every race.
-///
-/// Single-group plans (every worker running one strategy) execute
-/// *inline*: one [`SearchContext`] whose backend takes the whole group's
-/// width, no threads — this is how small `Auto` requests
-/// escape the race overhead entirely.
-///
-/// Mixed plans race a linear group against a core-guided group within
-/// one shared (already armed) budget: the first group to return a
-/// *proof* (`Optimal` or `Unsat`) wins and cancels its peer through the
-/// budget's [`sat::CancelToken`] chain. Without a proof, the better
-/// feasible answer is kept (ties favour the linear incumbent). Each
-/// group gets a [`WorkerRole`]: the linear group keeps the base seed 0
-/// (the historical default configuration), the core-guided group is
-/// diversified from [`CORE_ROLE_SEED`] — so fault injection and
-/// diagnostics can tell the groups apart.
-///
-/// The groups share no clauses; they cooperate through one
-/// [`RaceBounds`] pair: the linear group closes early once its incumbent
-/// meets the core-guided group's proved lower bound, and the core-guided
-/// group stops (and hardens softs) against the shared incumbent.
-pub(crate) fn run_plan<B: SatBackend + Default + Send>(
-    instance: &WcnfInstance,
-    budget: &ResourceBudget,
-    options: &SolveOptions,
-    plan: DispatchPlan,
-) -> MaxSatOutcome {
-    // Single-strategy plans run inline — no race machinery at all.
-    if plan.core_width == 0 || plan.linear_width == 0 {
-        let mut ctx = SearchContext::<B>::new(instance, budget, options);
-        ctx.set_width(plan.total_width());
-        return match plan.strategy() {
-            SearchStrategy::CoreGuided => CoreGuided.search(&mut ctx),
-            _ => LinearSatUnsat.search(&mut ctx),
-        };
-    }
-
-    let armed = budget.arm();
-    let (worker_budget, abort) = armed.cancellable();
-    let bounds = Arc::new(RaceBounds::new());
-    let first_proof: Mutex<Option<usize>> = Mutex::new(None);
-
-    let run = |strategy: &dyn Fn(&mut SearchContext<'_, B>) -> MaxSatOutcome,
-               group: usize,
-               role: WorkerRole,
-               width: usize| {
-        let mut ctx = SearchContext::<B>::new(instance, &worker_budget, options);
-        ctx.set_width(width);
-        ctx.apply_role(&role);
-        ctx.attach_bounds(bounds.clone());
-        let outcome = strategy(&mut ctx);
-        if matches!(outcome.status, MaxSatStatus::Optimal | MaxSatStatus::Unsat) {
-            let mut slot = first_proof
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if slot.is_none() {
-                *slot = Some(group);
-                abort.cancel();
-            }
-        }
-        outcome
-    };
-
-    // Each group runs behind a panic guard: a crashing strategy forfeits
-    // its side of the race (its incumbent dies with it) while the survivor
-    // keeps searching — the process never unwinds through the scope.
-    let (linear_out, core_out) = std::thread::scope(|scope| {
-        let linear = scope.spawn(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run(
-                    &|ctx| LinearSatUnsat.search(ctx),
-                    0,
-                    WorkerRole {
-                        label: "linear",
-                        seed: 0,
-                    },
-                    plan.linear_width,
-                )
-            }))
-            .ok()
-        });
-        let core = scope.spawn(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run(
-                    &|ctx| CoreGuided.search(ctx),
-                    1,
-                    WorkerRole {
-                        label: "core-guided",
-                        seed: CORE_ROLE_SEED,
-                    },
-                    plan.core_width,
-                )
-            }))
-            .ok()
-        });
-        (linear.join().ok().flatten(), core.join().ok().flatten())
-    });
-
-    let crashed = u64::from(linear_out.is_none()) + u64::from(core_out.is_none());
-    let winner = *first_proof
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let (mut out, other) = match (linear_out, core_out) {
-        (None, None) => {
-            // Both racers crashed: nothing to salvage, but the caller
-            // still gets a typed non-answer instead of a process panic.
-            let mut telemetry = SolverTelemetry::new();
-            telemetry.worker_panics = crashed;
-            telemetry.strategy = Some("race");
-            return MaxSatOutcome {
-                status: MaxSatStatus::Unknown,
-                model: None,
-                cost: None,
-                iterations: 0,
-                quantum: 1,
-                strategy: "race",
-                telemetry,
-            };
-        }
-        (Some(l), None) => (l, None),
-        (None, Some(c)) => (c, None),
-        (Some(l), Some(c)) => match winner {
-            Some(1) => (c, Some(l)),
-            Some(_) => (l, Some(c)),
-            None => match (l.cost, c.cost) {
-                // Budget ran dry on both: keep the better incumbent.
-                (Some(lc), Some(cc)) if cc < lc => (c, Some(l)),
-                (None, Some(_)) => (c, Some(l)),
-                _ => (l, Some(c)),
-            },
-        },
-    };
-    // The race's total effort is both workers'; the strategy label stays
-    // the winner's (absorb would otherwise take the loser's).
-    let strategy = out.strategy;
-    if let Some(other) = &other {
-        out.telemetry.absorb(&other.telemetry);
-    }
-    out.telemetry.worker_panics += crashed;
-    out.telemetry.strategy = Some(strategy);
-    out
 }
 
 #[cfg(test)]
@@ -1277,75 +989,60 @@ mod tests {
         assert_eq!(out.cost, Some(3), "violate the weight-3 soft, keep b");
     }
 
-    /// A forced width-2 plan always races one worker per strategy — the
-    /// path every heterogeneous test drives.
-    fn mixed_plan(inst: &WcnfInstance) -> DispatchPlan {
-        let plan = crate::dispatch::plan(
-            &crate::dispatch::InstanceFeatures::of(inst),
-            SearchStrategy::Race,
-            sat::Parallelism::Width(2),
-        );
-        assert_eq!((plan.linear_width, plan.core_width), (1, 1));
-        plan
+    /// Solves `inst` over a portfolio backend: every SAT call of the one
+    /// dispatched strategy races the plan's diversified workers.
+    fn portfolio_solve<B: SatBackend + Default + Clone + Send>(
+        inst: &WcnfInstance,
+        budget: &ResourceBudget,
+        strategy: SearchStrategy,
+        parallelism: sat::Parallelism,
+    ) -> MaxSatOutcome {
+        let options = SolveOptions::default()
+            .with_strategy(strategy)
+            .with_parallelism(parallelism);
+        crate::solve_with_options::<sat::PortfolioBackend<B>>(inst, budget, &options)
     }
 
     #[test]
     fn race_returns_optimal_and_merges_effort() {
+        // Either strategy over a width-2 portfolio race proves the
+        // optimum, names itself, and reports the race's merged effort and
+        // winning worker.
         let inst = weighted_instance();
-        let out = run_plan::<DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
-        );
-        assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(1));
-        assert!(
-            out.strategy == "linear-sat-unsat" || out.strategy == "core-guided",
-            "winner must be one of the racing groups: {}",
-            out.strategy
-        );
-        assert_eq!(out.telemetry.strategy, Some(out.strategy));
-        // Both groups' SAT calls are charged.
-        assert!(out.telemetry.sat_calls >= 2, "{}", out.telemetry);
+        for strategy in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
+            let out = portfolio_solve::<DefaultBackend>(
+                &inst,
+                &ResourceBudget::unlimited(),
+                strategy,
+                sat::Parallelism::Width(2),
+            );
+            assert_eq!(out.status, MaxSatStatus::Optimal, "{strategy:?}");
+            assert_eq!(out.cost, Some(1), "{strategy:?}");
+            assert_eq!(out.strategy, strategy.name());
+            assert_eq!(out.telemetry.strategy, Some(strategy.name()));
+            assert_eq!(out.telemetry.dispatch_width, 2);
+            assert_eq!(out.telemetry.sat_calls, u64::from(out.iterations));
+            assert!(out.telemetry.winning_worker.is_some(), "{}", out.telemetry);
+        }
     }
 
     #[test]
     fn small_auto_race_degenerates_to_one_inline_worker() {
-        // The dispatcher resolves a small Auto race to a single worker of
-        // the feature-preferred strategy (core-guided here — half the
-        // softs are weighted); run_plan executes it inline with no race
-        // machinery, and the answer matches the raced answer exactly.
+        // An `Auto` width on a small instance resolves to one worker, so
+        // the portfolio solves inline; the weighted objective picks the
+        // core-guided search, and the answer is the serial answer.
         let inst = weighted_instance();
-        let plan = crate::dispatch::plan(
-            &crate::dispatch::InstanceFeatures::of(&inst),
-            SearchStrategy::Race,
-            sat::Parallelism::Auto,
-        );
-        assert_eq!((plan.linear_width, plan.core_width), (0, 1));
-        let out = run_plan::<DefaultBackend>(
+        let out = portfolio_solve::<DefaultBackend>(
             &inst,
             &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            plan,
+            SearchStrategy::Auto,
+            sat::Parallelism::Auto,
         );
         assert_eq!(out.status, MaxSatStatus::Optimal);
         assert_eq!(out.cost, Some(1));
         assert_eq!(out.strategy, "core-guided");
-
-        // An unweighted objective keeps the historical linear degenerate.
-        let mut unweighted = WcnfInstance::new();
-        let a = unweighted.new_var().positive();
-        let b = unweighted.new_var().positive();
-        unweighted.add_hard([a, b]);
-        unweighted.add_soft(1, [!a]);
-        unweighted.add_soft(1, [!b]);
-        let plan = crate::dispatch::plan(
-            &crate::dispatch::InstanceFeatures::of(&unweighted),
-            SearchStrategy::Race,
-            sat::Parallelism::Auto,
-        );
-        assert_eq!((plan.linear_width, plan.core_width), (1, 0));
+        assert_eq!(out.telemetry.dispatch_width, 1);
+        assert_eq!(out.telemetry.winning_worker, Some(0));
     }
 
     #[test]
@@ -1358,18 +1055,20 @@ mod tests {
         for &l in &lits {
             inst.add_soft(1, [!l]);
         }
-        let out = run_plan::<DefaultBackend>(
-            &inst,
-            &ResourceBudget::with_time(std::time::Duration::ZERO),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
-        );
-        assert!(matches!(
-            out.status,
-            MaxSatStatus::Feasible | MaxSatStatus::Unknown
-        ));
-        if let (Some(model), Some(cost)) = (&out.model, out.cost) {
-            assert_eq!(inst.cost_of(model), Some(cost));
+        for strategy in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
+            let out = portfolio_solve::<DefaultBackend>(
+                &inst,
+                &ResourceBudget::with_time(std::time::Duration::ZERO),
+                strategy,
+                sat::Parallelism::Width(2),
+            );
+            assert!(matches!(
+                out.status,
+                MaxSatStatus::Feasible | MaxSatStatus::Unknown
+            ));
+            if let (Some(model), Some(cost)) = (&out.model, out.cost) {
+                assert_eq!(inst.cost_of(model), Some(cost));
+            }
         }
     }
 
@@ -1377,115 +1076,25 @@ mod tests {
     fn race_survives_panicking_racers_with_a_typed_nonanswer() {
         use sat::chaos::{silence_panic_reports, ChaosBackend, FaultPlan};
         silence_panic_reports();
-        // Every solve call panics regardless of role, so both strategy
-        // groups crash mid-search; the race must still return a typed
-        // Unknown instead of unwinding.
+        // Every solve call panics, so both portfolio workers crash on the
+        // first call; the search must still return a typed Unknown
+        // instead of unwinding, with both crashes counted.
         let previous = sat::chaos::install_plan(Some(FaultPlan::seeded(17).panic_prob(1.0)));
         let inst = weighted_instance();
-        let out = run_plan::<ChaosBackend<DefaultBackend>>(
+        let out = portfolio_solve::<ChaosBackend<DefaultBackend>>(
             &inst,
             &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
+            SearchStrategy::Linear,
+            sat::Parallelism::Width(2),
         );
         sat::chaos::install_plan(previous);
         assert_eq!(out.status, MaxSatStatus::Unknown);
         assert_eq!(out.model, None);
         assert_eq!(
             out.telemetry.worker_panics, 2,
-            "both crashed groups are counted"
+            "both crashed workers are counted"
         );
-        assert_eq!(out.telemetry.strategy, Some("race"));
-    }
-
-    #[test]
-    fn core_guided_crash_leaves_linear_to_finish() {
-        use sat::chaos::{silence_panic_reports, ChaosBackend, FaultPlan};
-        silence_panic_reports();
-        // Target exactly the core-guided group's role seed: its worker
-        // panics on the first solve call, and the linear group must
-        // finish the race alone with a sound proof. The delay slows the
-        // (untagged) linear group's solves so the core group reliably
-        // reaches its panicking call before the race is decided.
-        let previous = sat::chaos::install_plan(Some(
-            FaultPlan::seeded(23)
-                .panic_tag(CORE_ROLE_SEED)
-                .delay_with(1.0, std::time::Duration::from_millis(20)),
-        ));
-        let inst = weighted_instance();
-        let out = run_plan::<ChaosBackend<DefaultBackend>>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
-        );
-        sat::chaos::install_plan(previous);
-        assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(1));
-        assert_eq!(out.strategy, "linear-sat-unsat");
-        assert_eq!(
-            out.telemetry.worker_panics, 1,
-            "the crashed core-guided group is counted"
-        );
-    }
-
-    #[test]
-    fn race_bounds_are_monotone() {
-        let b = RaceBounds::new();
-        assert_eq!(b.lower(), 0);
-        assert_eq!(b.incumbent(), u64::MAX);
-        b.publish_lower(3);
-        b.publish_lower(2);
-        assert_eq!(b.lower(), 3, "the lower bound never regresses");
-        b.publish_incumbent(9);
-        b.publish_incumbent(12);
-        assert_eq!(b.incumbent(), 9, "the incumbent never regresses");
-    }
-
-    #[test]
-    fn linear_short_circuits_on_the_shared_lower_bound() {
-        // A peer-proved lower bound equal to the optimum lets the linear
-        // search skip its closing UNSAT call: same proof, one call fewer
-        // (the backend is deterministic, so the model sequence matches).
-        let inst = weighted_instance();
-        let plain = search_with(&LinearSatUnsat, &inst);
-        assert_eq!(plain.status, MaxSatStatus::Optimal);
-
-        let mut ctx = SearchContext::<DefaultBackend>::new(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-        );
-        let bounds = Arc::new(RaceBounds::new());
-        bounds.publish_lower(1); // the known quantized optimum
-        ctx.attach_bounds(bounds);
-        let out = LinearSatUnsat.search(&mut ctx);
-        assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(1));
-        assert_eq!(
-            out.iterations,
-            plain.iterations - 1,
-            "the closing UNSAT call is skipped"
-        );
-    }
-
-    #[test]
-    fn core_guided_early_stop_never_claims_a_proof() {
-        // A shared incumbent at the core-guided group's own lower bound
-        // stops the search immediately — but as an exhausted Unknown,
-        // never as a winning proof (this group holds no model).
-        let inst = weighted_instance();
-        let mut ctx = SearchContext::<DefaultBackend>::new(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-        );
-        let bounds = Arc::new(RaceBounds::new());
-        bounds.publish_incumbent(0);
-        ctx.attach_bounds(bounds);
-        let out = CoreGuided.search(&mut ctx);
-        assert_eq!(out.status, MaxSatStatus::Unknown);
-        assert_eq!(out.iterations, 0, "not a single SAT call is spent");
+        assert_eq!(out.telemetry.strategy, Some("linear-sat-unsat"));
     }
 
     #[test]
@@ -1494,7 +1103,6 @@ mod tests {
         assert_eq!(SearchStrategy::Linear.name(), "linear-sat-unsat");
         assert_eq!(SearchStrategy::CoreGuided.name(), CoreGuided.name());
         assert_eq!(SearchStrategy::CoreGuided.name(), "core-guided");
-        assert_eq!(SearchStrategy::Race.name(), "race");
         assert_eq!(SolveOptions::default().strategy, SearchStrategy::Linear);
     }
 }

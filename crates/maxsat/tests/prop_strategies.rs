@@ -1,8 +1,8 @@
-//! Strategy-equivalence properties: `LinearSatUnsat`, `CoreGuided`, and
-//! the first-proof-wins race must report identical optimal costs on random
-//! small weighted instances (exact search, quantum = 1), plus directed
+//! Strategy-equivalence properties: `LinearSatUnsat` and `CoreGuided`
+//! must report identical optimal costs on random small weighted instances
+//! (exact search, quantum = 1) and at every portfolio width, plus directed
 //! regressions on the pigeonhole placement family where the core-guided
-//! strategy must reach the proof in fewer SAT calls and win the race.
+//! strategy must reach the proof in fewer SAT calls.
 
 use maxsat::{
     solve_with_options, MaxSatOutcome, MaxSatStatus, SearchStrategy, SolveOptions, WcnfInstance,
@@ -120,7 +120,7 @@ proptest! {
         }
     }
 
-    /// All three strategies agree with each other — and with brute force —
+    /// Both strategies agree with each other — and with brute force —
     /// on random small weighted partial MaxSAT instances.
     #[test]
     fn strategies_report_identical_optimal_costs(
@@ -147,8 +147,7 @@ proptest! {
         let expect = brute_force(&inst);
         let linear = solve_strategy(&inst, SearchStrategy::Linear);
         let core = solve_strategy(&inst, SearchStrategy::CoreGuided);
-        let race = solve_strategy(&inst, SearchStrategy::Race);
-        for (label, out) in [("linear", &linear), ("core-guided", &core), ("race", &race)] {
+        for (label, out) in [("linear", &linear), ("core-guided", &core)] {
             match expect {
                 None => prop_assert_eq!(out.status, MaxSatStatus::Unsat, "{}", label),
                 Some(c) => {
@@ -304,43 +303,6 @@ fn add_hard_permutation(inst: &mut WcnfInstance, n: usize) {
     }
 }
 
-#[test]
-fn race_on_pigeonhole_family_is_won_by_core_guided() {
-    // The acceptance probe: weighted exclusive pairs, two overfull
-    // pigeonhole blocks, and a hard satisfiable permutation block.
-    // Core-guided pays one propagation-cheap core per pair and one
-    // refutation per block (order-of-magnitude faster than the linear
-    // search's global weighted totalizer and joint counting proof,
-    // measured ~35x in release and ~40x in debug), so it wins the race
-    // deterministically. Width 2 splits into one width-1 backend per
-    // strategy group.
-    let mut inst = WcnfInstance::new();
-    add_weighted_pairs(&mut inst, 30);
-    add_placement_block(&mut inst, 7, 6);
-    add_placement_block(&mut inst, 6, 5);
-    add_hard_permutation(&mut inst, 9);
-    // Optimum: min weight of each pair (Σ (2i+1) for i < 30) plus one
-    // unplaced pigeon per block.
-    let expected: u64 = (0..30).map(|i| 2 * i as u64 + 1).sum::<u64>() + 2;
-
-    let options = SolveOptions::default()
-        .with_totalizer_units(u64::MAX)
-        .with_strategy(SearchStrategy::Race)
-        .with_parallelism(maxsat::Parallelism::Width(2));
-    let out = solve_with_options::<PortfolioBackend<DefaultBackend>>(
-        &inst,
-        &ResourceBudget::unlimited(),
-        &options,
-    );
-    assert_eq!(out.status, MaxSatStatus::Optimal);
-    assert_eq!(out.cost, Some(expected));
-    assert_eq!(
-        out.strategy, "core-guided",
-        "the core-guided racer must win the pair+placement race"
-    );
-    assert_eq!(out.telemetry.strategy, Some("core-guided"));
-}
-
 /// The full acceptance-probe instance: weighted exclusive pairs, two
 /// overfull placement blocks, a hard permutation block. 60 distinct soft
 /// weights over 73 softs arm the diversity gate, so the stratified path
@@ -411,22 +373,30 @@ fn warm_started_stratified_solve_resumes_mid_stratum() {
 }
 
 #[test]
-fn race_equals_linear_across_widths() {
-    // Same costs whether the race runs over serial backends or
-    // portfolios — racing changes the route, never the answer.
+fn strategies_agree_across_portfolio_widths() {
+    // Same costs whether a strategy runs over a serial backend or a
+    // portfolio of diversified workers — the width changes the route,
+    // never the answer.
     for pigeons in 3..=5usize {
         let inst = placement(pigeons, 3);
-        let linear = solve_strategy(&inst, SearchStrategy::Linear);
-        let options = SolveOptions::default()
-            .with_strategy(SearchStrategy::Race)
-            .with_parallelism(maxsat::Parallelism::Width(2));
-        let race = solve_with_options::<PortfolioBackend<DefaultBackend>>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &options,
-        );
-        assert_eq!(race.status, linear.status, "placement({pigeons}, 3)");
-        assert_eq!(race.cost, linear.cost, "placement({pigeons}, 3)");
+        let serial = solve_strategy(&inst, SearchStrategy::Linear);
+        assert_eq!(serial.status, MaxSatStatus::Optimal);
+        for strategy in [SearchStrategy::Linear, SearchStrategy::CoreGuided] {
+            for width in 1..=4 {
+                let options = SolveOptions::default()
+                    .with_strategy(strategy)
+                    .with_parallelism(maxsat::Parallelism::Width(width));
+                let out = solve_with_options::<PortfolioBackend<DefaultBackend>>(
+                    &inst,
+                    &ResourceBudget::unlimited(),
+                    &options,
+                );
+                let case = format!("placement({pigeons}, 3) {strategy:?} width {width}");
+                assert_eq!(out.status, serial.status, "{case}");
+                assert_eq!(out.cost, serial.cost, "{case}");
+                assert_eq!(out.telemetry.dispatch_width, width as u32, "{case}");
+            }
+        }
     }
 }
 
@@ -463,42 +433,43 @@ fn random_weighted(rng: &mut StdRng, num_vars: usize) -> WcnfInstance {
 }
 
 #[test]
-fn weighted_races_harden_and_match_the_serial_optima() {
-    // Inside a race the core-guided group hardens softs against the
-    // better of its own and its peer's incumbent. Neither may cost an
-    // answer: every race at width 2 must return the optimum both serial
+fn weighted_portfolios_harden_and_match_the_serial_optima() {
+    // The core-guided search hardens softs against its stratum-fold
+    // incumbents. That may not cost an answer on a portfolio either:
+    // every width-2 core-guided solve must return the optimum both serial
     // strategies prove, and the generated cases must actually exercise
-    // hardening inside a race.
+    // hardening on the portfolio.
     let mut rng = StdRng::seed_from_u64(0x5EED_4A2D);
-    let race_options = SolveOptions::default()
+    let wide_options = SolveOptions::default()
         .with_totalizer_units(u64::MAX)
-        .with_strategy(SearchStrategy::Race)
+        .with_strategy(SearchStrategy::CoreGuided)
         .with_parallelism(maxsat::Parallelism::Width(2));
-    let mut hardening_races = 0;
+    let mut hardening_solves = 0;
     for case in 0..48 {
         let inst = random_weighted(&mut rng, 6 + case % 7);
         let linear = solve_strategy(&inst, SearchStrategy::Linear);
         let core = solve_strategy(&inst, SearchStrategy::CoreGuided);
         assert_eq!(linear.status, core.status, "case {case}");
         assert_eq!(linear.cost, core.cost, "case {case}");
-        let race = solve_with_options::<PortfolioBackend<DefaultBackend>>(
+        let wide = solve_with_options::<PortfolioBackend<DefaultBackend>>(
             &inst,
             &ResourceBudget::unlimited(),
-            &race_options,
+            &wide_options,
         );
-        assert_eq!(race.status, core.status, "case {case}: {}", race.telemetry);
-        assert_eq!(race.cost, core.cost, "case {case}: {}", race.telemetry);
-        if let Some(model) = &race.model {
-            assert_eq!(inst.cost_of(model), race.cost, "case {case}");
+        assert_eq!(wide.status, core.status, "case {case}: {}", wide.telemetry);
+        assert_eq!(wide.cost, core.cost, "case {case}: {}", wide.telemetry);
+        if let Some(model) = &wide.model {
+            assert_eq!(inst.cost_of(model), wide.cost, "case {case}");
         }
-        assert_eq!(race.telemetry.dispatch_mix, Some("linear+core-guided"));
-        if race.telemetry.hardened_softs > 0 {
-            hardening_races += 1;
+        assert_eq!(wide.telemetry.dispatch_mix, Some("core-guided"));
+        assert_eq!(wide.telemetry.dispatch_width, 2);
+        if wide.telemetry.hardened_softs > 0 {
+            hardening_solves += 1;
         }
     }
-    eprintln!("races that hardened: {hardening_races} of 48");
+    eprintln!("portfolio solves that hardened: {hardening_solves} of 48");
     assert!(
-        hardening_races > 0,
-        "no generated race hardened a soft; the case no longer covers hardening"
+        hardening_solves > 0,
+        "no generated solve hardened a soft; the case no longer covers hardening"
     );
 }

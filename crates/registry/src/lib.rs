@@ -26,8 +26,8 @@
 //! instance hard enough; `Serial` requests solve inline with zero racing
 //! overhead. Every SAT-based router also honors
 //! the request's [`circuit::SearchStrategy`]: the MaxSAT engine's linear
-//! SAT-UNSAT search (default), the core-guided lower-bounding search, or a
-//! first-proof-wins race of both.
+//! SAT-UNSAT search, the core-guided lower-bounding search, or `Auto`
+//! (default), which picks one of the two from the instance's features.
 //!
 //! Two front ends layer over the registry: [`RouteCache`] (memoization +
 //! warm-start session reuse) and [`RouteSupervisor`] (admission control, a

@@ -69,19 +69,6 @@ pub trait SatBackend: ClauseSink {
         let _ = width;
     }
 
-    /// Assigns this backend a worker-plan role (see
-    /// [`crate::WorkerRole`]): a strategy group in a heterogeneous
-    /// portfolio applies its diversification seed before solving. The
-    /// default rebases the backend's configuration on the
-    /// role seed via [`SatBackend::configure`], which also gives
-    /// fault-injection wrappers a stable per-role tag to target.
-    fn set_worker_role(&mut self, role: &crate::WorkerRole) {
-        self.configure(&SolverConfig {
-            seed: role.seed,
-            ..SolverConfig::default()
-        });
-    }
-
     /// Number of variables created so far.
     fn num_vars(&self) -> usize;
 

@@ -29,6 +29,8 @@ pub enum Parallelism {
 }
 
 /// Which MaxSAT search strategy a solve runs (pure heuristics ignore it).
+/// Every solve runs exactly one strategy; `Auto` only defers the choice
+/// to the dispatcher.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SearchStrategy {
     /// Let the dispatcher pick per solver call from the built instance's
@@ -42,8 +44,6 @@ pub enum SearchStrategy {
     Linear,
     /// OLL-style core-guided lower-bounding search.
     CoreGuided,
-    /// Race both strategies; the first proof wins and cancels its peer.
-    Race,
 }
 
 impl SearchStrategy {
@@ -53,7 +53,6 @@ impl SearchStrategy {
             SearchStrategy::Auto => "auto",
             SearchStrategy::Linear => "linear-sat-unsat",
             SearchStrategy::CoreGuided => "core-guided",
-            SearchStrategy::Race => "race",
         }
     }
 }

@@ -67,7 +67,7 @@ pub use clause::ClauseRef;
 pub use config::{PhaseInit, SolverConfig};
 pub use hint::{Parallelism, SearchStrategy};
 pub use lit::{LBool, Lit, Var};
-pub use portfolio::{auto_width, PortfolioBackend, WorkerRole, MAX_AUTO_WIDTH};
+pub use portfolio::{auto_width, PortfolioBackend, MAX_AUTO_WIDTH};
 pub use solver::{SolveResult, Solver};
 pub use stats::Stats;
 pub use telemetry::SolverTelemetry;

@@ -77,24 +77,6 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The role a worker slot plays in a heterogeneous worker plan: instead
-/// of assuming N clones of one strategy, each strategy *group* of the
-/// plan carries its own diversification seed so groups are
-/// distinguishable — by the diversified presets they derive, by
-/// fault-injection tags, and in diagnostics.
-///
-/// Applied through [`crate::SatBackend::set_worker_role`], which folds
-/// the seed into the backend's configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WorkerRole {
-    /// Stable label of the group (e.g. `"linear"`, `"core-guided"`) for
-    /// diagnostics.
-    pub label: &'static str,
-    /// Diversification seed the group's workers derive their presets
-    /// from (seed 0 keeps the historical base configuration).
-    pub seed: u64,
-}
-
 /// A portfolio of diversified [`SatBackend`] workers racing per call.
 ///
 /// Formula loading targets one primary worker; peers are arena clones
@@ -356,18 +338,6 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
         self.base_config = *config;
         self.primary.configure(config);
         self.peers_synced = false;
-    }
-
-    fn set_worker_role(&mut self, role: &WorkerRole) {
-        // Rebase only the seed: the caller's other configuration knobs
-        // (restart/polarity/phase presets) survive the role assignment,
-        // and a zero seed leaves the historical base behaviour
-        // bit-identical.
-        let config = SolverConfig {
-            seed: role.seed,
-            ..self.base_config
-        };
-        self.configure(&config);
     }
 
     fn set_portfolio_width(&mut self, width: usize) {

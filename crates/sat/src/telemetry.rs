@@ -43,14 +43,13 @@ pub struct SolverTelemetry {
     /// recent definitive answer (`None` for single-threaded backends).
     pub winning_worker: Option<u32>,
     /// MaxSAT engine only: name of the search strategy that produced the
-    /// answer (for a strategy race, the winner). `None` outside MaxSAT.
+    /// answer. `None` outside MaxSAT.
     pub strategy: Option<&'static str>,
     /// Total worker count the instance-feature dispatcher resolved for
     /// this call (0 when no dispatch decision was made, e.g. plain SAT).
     pub dispatch_width: u32,
-    /// Strategy mix of the dispatched worker plan (`"linear"`,
-    /// `"core-guided"`, or `"linear+core-guided"`); `None` outside the
-    /// dispatched MaxSAT path.
+    /// Strategy of the dispatched worker plan (`"linear"` or
+    /// `"core-guided"`); `None` outside the dispatched MaxSAT path.
     pub dispatch_mix: Option<&'static str>,
     /// The instance-hardness signal (vars + hard clauses, or the encoding
     /// estimate pre-encode) the dispatcher sized the plan from.
@@ -273,19 +272,19 @@ mod tests {
         };
         parent.absorb(&SolverTelemetry {
             dispatch_width: 4,
-            dispatch_mix: Some("linear+core-guided"),
+            dispatch_mix: Some("core-guided"),
             dispatch_hardness: 9000,
             ..SolverTelemetry::new()
         });
         assert_eq!(parent.dispatch_width, 4, "peak width wins");
-        assert_eq!(parent.dispatch_mix, Some("linear+core-guided"));
+        assert_eq!(parent.dispatch_mix, Some("core-guided"));
         assert_eq!(parent.dispatch_hardness, 9000);
         parent.absorb(&SolverTelemetry::new());
         assert_eq!(
             parent.dispatch_mix,
-            Some("linear+core-guided"),
+            Some("core-guided"),
             "an empty child does not erase the decision"
         );
-        assert!(parent.to_string().contains("dispatch=linear+core-guidedx4"));
+        assert!(parent.to_string().contains("dispatch=core-guidedx4"));
     }
 }

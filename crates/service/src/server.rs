@@ -97,8 +97,8 @@ impl Default for DaemonConfig {
 
 /// Sizes the worker pool: the machine's cores divided by the widest
 /// worker plan the dispatcher can resolve under the expected per-request
-/// hint ([`satmap::plan_ceiling`]) — a request racing a width-4 plan
-/// already owns 4 cores. The dispatcher only narrows from that ceiling
+/// hint ([`satmap::plan_ceiling`]) — a request whose plan runs a width-4
+/// portfolio already owns 4 cores. The dispatcher only narrows from that ceiling
 /// as instances get easier, so the pool never oversubscribes. Clamped to
 /// at least 1.
 pub fn worker_pool_width(per_request_hint: Parallelism) -> usize {

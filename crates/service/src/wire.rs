@@ -736,9 +736,8 @@ fn parse_strategy(v: &JsonValue) -> Result<SearchStrategy, WireError> {
         Some((_, Some("auto"))) => Ok(SearchStrategy::Auto),
         Some((_, Some("linear"))) => Ok(SearchStrategy::Linear),
         Some((_, Some("core-guided"))) => Ok(SearchStrategy::CoreGuided),
-        Some((_, Some("race"))) => Ok(SearchStrategy::Race),
         Some(_) => Err(WireError::new(
-            "'strategy' must be \"auto\", \"linear\", \"core-guided\", or \"race\"",
+            "'strategy' must be \"auto\", \"linear\", or \"core-guided\"",
         )),
     }
 }
@@ -932,7 +931,7 @@ mod tests {
             &c,
             &[
                 ("budget_ms", "2000".into()),
-                ("strategy", "\"race\"".into()),
+                ("strategy", "\"core-guided\"".into()),
             ],
         );
         let cmd = match parse_request(&line).unwrap() {
@@ -944,11 +943,20 @@ mod tests {
         assert_eq!(cmd.circuit.gates(), c.gates());
         assert_eq!(cmd.circuit.num_qubits(), 3);
         assert_eq!(cmd.graph.num_qubits(), 3);
-        assert_eq!(cmd.spec.strategy, SearchStrategy::Race);
+        assert_eq!(cmd.spec.strategy, SearchStrategy::CoreGuided);
         assert_eq!(
             cmd.spec.budget.remaining_time(),
             Some(Duration::from_millis(2000))
         );
+        // The retired strategy race is a typed rejection naming the
+        // strategies that remain.
+        let race = route_line("satmap", "linear:3", &c, &[("strategy", "\"race\"".into())]);
+        let err = RouteError::from(parse_request(&race).unwrap_err());
+        assert!(matches!(err, RouteError::InvalidRequest(_)), "{err:?}");
+        for name in ["\"auto\"", "\"linear\"", "\"core-guided\""] {
+            assert!(err.to_string().contains(name), "{err}");
+        }
+        assert!(!err.to_string().contains("\"race\""), "{err}");
     }
 
     #[test]
@@ -1019,7 +1027,10 @@ mod tests {
             "satmap",
             "linear:3",
             src,
-            &[("strategy", "\"race\"".into()), ("budget_ms", "500".into())],
+            &[
+                ("strategy", "\"linear\"".into()),
+                ("budget_ms", "500".into()),
+            ],
         );
         let cmd = match parse_request(&line).unwrap() {
             Request::Route(cmd) => cmd,
@@ -1028,10 +1039,20 @@ mod tests {
         assert_eq!(cmd.router, "satmap");
         assert_eq!(cmd.circuit.num_qubits(), 3);
         assert_eq!(cmd.circuit.gates().len(), 3);
-        assert_eq!(cmd.spec.strategy, SearchStrategy::Race);
+        assert_eq!(cmd.spec.strategy, SearchStrategy::Linear);
         // The same program decodes to the same gates as the gate-array wire form.
         let direct = circuit::qasm::parse(src).unwrap();
         assert_eq!(cmd.circuit.gates(), direct.gates());
+        // The qasm form rejects the retired strategy race the same way.
+        let race = qasm_route_line(
+            "satmap",
+            "linear:3",
+            src,
+            &[("strategy", "\"race\"".into())],
+        );
+        let err = RouteError::from(parse_request(&race).unwrap_err());
+        assert!(matches!(err, RouteError::InvalidRequest(_)), "{err:?}");
+        assert!(err.to_string().contains("'strategy' must be"), "{err}");
     }
 
     #[test]

@@ -21,12 +21,13 @@ done
 
 # Telemetry fields of every route row. The arena fields (compactions,
 # arena_bytes) came with the flat clause arena; strategy with the
-# strategy-racing MaxSAT engine; the warm-start fields
+# pluggable MaxSAT search strategies; the warm-start fields
 # (cache_hit, warm_start, reused_clauses) with the route cache; the
 # resilience fields (quality, attempts, worker_panics) with the routing
 # supervisor; request_id (per-row tracing id) with the routing service;
 # the dispatch fields (dispatch_width, dispatch_mix, dispatch_hardness)
-# with the adaptive dispatcher; the weighted-core
+# with the adaptive dispatcher (dispatch_mix names the plan's one
+# strategy); the weighted-core
 # fields (strata, exhaustion_steps, hardened_softs) with the
 # weight-stratified core-guided search.
 for key in compactions arena_bytes strategy cache_hit warm_start reused_clauses \
@@ -37,8 +38,7 @@ for key in compactions arena_bytes strategy cache_hit warm_start reused_clauses 
 done
 
 # Route rows must not contradict themselves: the strategy diagnostic
-# names the strategy that ran (`race` for a mixed plan, whose row names
-# the winner).
+# names the strategy that ran, exactly as the row's `strategy` does.
 rows=0
 while IFS= read -r row; do
     rows=$((rows + 1))
@@ -47,7 +47,7 @@ while IFS= read -r row; do
     diagnostics=${row#*\"diagnostics\":}
     strategy=$(sed -n 's/.*"strategy":"\([^"]*\)".*/\1/p' <<<"$top")
     ran=$(sed -n 's/.*"strategy":"\([^"]*\)".*/\1/p' <<<"$diagnostics")
-    if [ -n "$ran" ] && [ "$ran" != race ] && [ "$ran" != "$strategy" ]; then
+    if [ -n "$ran" ] && [ "$ran" != "$strategy" ]; then
         fail "$router row: diagnostics.strategy \"$ran\" differs from strategy \"$strategy\""
     fi
 done < <(grep '^ *{"router":' "$report")
@@ -56,7 +56,6 @@ done < <(grep '^ *{"router":' "$report")
 # The criterion groups must have produced medians.
 for group in '"arena/clone"' '"arena/reemit"' \
              '"maxsat_strategies/linear"' '"maxsat_strategies/core-guided"' \
-             '"maxsat_strategies/race"' \
              '"weighted_core/stratified"' '"weighted_core/plain"' \
              '"weighted_core/linear"' \
              '"warmstart/cold"' '"warmstart/warm"' '"warmstart/cache-hit"' \

@@ -69,12 +69,12 @@ fn portfolio_routing_costs_match_serial_requests() {
 }
 
 #[test]
-fn strategy_race_routing_costs_match_linear_requests() {
+fn core_guided_routing_costs_match_linear_requests() {
     // The same registry router serves the Fig. 3 suite under the default
-    // linear strategy and under a strategy race; both prove optimality
-    // (unlimited budget), so the SWAP counts must be identical — racing
-    // core-guided against linear changes the route to the optimum, never
-    // the optimum. The race request also reports which strategy won.
+    // linear strategy and under the core-guided strategy; both prove
+    // optimality (unlimited budget), so the SWAP counts must be identical
+    // — the strategy changes the route to the optimum, never the optimum.
+    // The core-guided request names its strategy in the row.
     let graph = arch::devices::tokyo_minus();
     let router = RouterRegistry::standard()
         .create("nl-satmap")
@@ -84,26 +84,20 @@ fn strategy_race_routing_costs_match_linear_requests() {
             .route_request(&RouteRequest::new(&circuit, &graph))
             .into_result()
             .unwrap_or_else(|e| panic!("{name}: linear failed: {e}"));
-        let race_outcome = router.route_request(
-            &RouteRequest::new(&circuit, &graph).with_strategy(circuit::SearchStrategy::Race),
+        let core_outcome = router.route_request(
+            &RouteRequest::new(&circuit, &graph).with_strategy(circuit::SearchStrategy::CoreGuided),
         );
-        assert_eq!(race_outcome.diagnostic("strategy"), Some("race"));
-        let winner = race_outcome
-            .telemetry()
-            .strategy
-            .unwrap_or_else(|| panic!("{name}: race must report its winning strategy"));
-        assert!(
-            winner == "linear-sat-unsat" || winner == "core-guided",
-            "{name}: unexpected winner {winner}"
-        );
-        let raced = race_outcome
+        assert_eq!(core_outcome.diagnostic("strategy"), Some("core-guided"));
+        assert_eq!(core_outcome.telemetry().strategy, Some("core-guided"));
+        assert_eq!(core_outcome.telemetry().dispatch_mix, Some("core-guided"));
+        let core = core_outcome
             .into_result()
-            .unwrap_or_else(|e| panic!("{name}: race failed: {e}"));
-        verify(&circuit, &graph, &raced).unwrap_or_else(|e| panic!("{name}: unverified: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: core-guided failed: {e}"));
+        verify(&circuit, &graph, &core).unwrap_or_else(|e| panic!("{name}: unverified: {e}"));
         assert_eq!(
             linear.added_gates(),
-            raced.added_gates(),
-            "{name}: the strategy race must reproduce the optimal cost"
+            core.added_gates(),
+            "{name}: the core-guided search must reproduce the optimal cost"
         );
     }
 }
@@ -148,12 +142,12 @@ fn portfolio_telemetry_reports_winner_through_the_stack() {
 }
 
 #[test]
-fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
-    // Dispatch regression: a fig3-sized request under the widest hints
-    // (`Auto` parallelism, `Race` strategy) must still resolve to a
-    // width-1 linear plan — the bench data says the
-    // parallel machinery loses on instances this small, and the decision
-    // must be visible in telemetry and the JSON row.
+fn auto_hints_on_fig3_dispatch_one_linear_worker_without_sharing() {
+    // Dispatch regression: a fig3-sized request under the adaptive hints
+    // (`Auto` parallelism, `Auto` strategy) must resolve to a width-1
+    // linear plan — the bench data says the parallel machinery loses on
+    // instances this small, and the decision must be visible in
+    // telemetry and the JSON row.
     let graph = arch::devices::tokyo_minus();
     let router = RouterRegistry::standard()
         .create("nl-satmap")
@@ -162,14 +156,18 @@ fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
     let outcome = router.route_request(
         &RouteRequest::new(&circuit, &graph)
             .with_parallelism(Parallelism::Auto)
-            .with_strategy(circuit::SearchStrategy::Race),
+            .with_strategy(circuit::SearchStrategy::Auto),
     );
     let routed = outcome.routed().expect("solves");
     verify(&circuit, &graph, routed).expect("verifies");
     assert_eq!(routed.swap_count(), 1, "fig3 optimum");
     let t = outcome.telemetry();
     assert_eq!(t.dispatch_width, 1, "small instances stay width 1");
-    assert_eq!(t.dispatch_mix, Some("linear"), "the race degenerates");
+    assert_eq!(
+        t.dispatch_mix,
+        Some("linear"),
+        "unweighted auto runs linear"
+    );
     assert!(
         t.dispatch_hardness > 0 && t.dispatch_hardness < maxsat::dispatch::SMALL_INSTANCE,
         "fig3 sits below the small-instance gate, got {}",
